@@ -19,13 +19,9 @@ fuzz:
 	go test -run '^$$' -fuzz='^FuzzIRParseRoundTrip$$' -fuzztime=10s ./internal/ir/
 	go test -run '^$$' -fuzz='^FuzzRoundTripExec$$' -fuzztime=10s ./internal/difftest/
 
-# Full benchmark sweep; BenchmarkTelemetryStages leaves per-stage
-# timings in BENCH_telemetry.json and BenchmarkDriverPipeline leaves the
-# serial-cold / parallel-cold / warm-session comparison in
-# BENCH_driver.json for cross-PR comparison.
+# Full benchmark sweep: one benchmark per paper table and figure.
 bench:
 	go test -bench=. -benchtime=1x .
-	go test -bench=Driver -benchtime=1x ./internal/driver/
 
 # Runtime observability sweep: runs the PolyBench suite under the
 # parallel-region profiler and the dynamic DOALL conflict checker,

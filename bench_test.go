@@ -201,46 +201,6 @@ func BenchmarkDecompileSuite(b *testing.B) {
 	}
 }
 
-// BenchmarkTelemetryStages drives the entire compile → optimize →
-// parallelize → decompile pipeline over the PolyBench suite with
-// telemetry enabled and dumps the aggregated per-stage and per-pass span
-// timings (plus counters, including the session's analysis-cache
-// statistics) to BENCH_telemetry.json, giving future perf PRs a
-// per-stage baseline to diff against.
-func BenchmarkTelemetryStages(b *testing.B) {
-	var tc *telemetry.Ctx
-	for i := 0; i < b.N; i++ {
-		tc = telemetry.New()
-		s := driver.New(driver.Options{Telemetry: tc})
-		for _, bench := range polybench.All() {
-			m, _, err := s.ParallelIR(bench.Name, bench.Seq)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Decompile(m, splendid.Full()); err != nil {
-				b.Fatalf("%s: %v", bench.Name, err)
-			}
-		}
-		s.FlushCounters()
-	}
-	b.StopTimer()
-	dump := struct {
-		Stages   []telemetry.Row  `json:"stages"`
-		Passes   []telemetry.Row  `json:"passes"`
-		Counters map[string]int64 `json:"counters"`
-	}{tc.Summary(telemetry.CatStage), tc.Summary(telemetry.CatPass), tc.Counters()}
-	j, err := json.MarshalIndent(dump, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_telemetry.json", j, 0o644); err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range dump.Stages {
-		b.ReportMetric(float64(r.TotalNS)/1e6, "ms-"+metricName(r.Name))
-	}
-}
-
 // BenchmarkRuntimeProfile runs the PolyBench suite under the
 // interpreter's runtime observability — the parallel-region profiler and
 // the dynamic DOALL conflict checker — and writes two artifacts at the

@@ -56,7 +56,6 @@ type Schedule struct {
 	Speedup     float64 `json:"speedup"`
 	LoadBalance float64 `json:"load_balance"`
 	Chunks      int64   `json:"chunks"`
-	Steals      int64   `json:"steals"`
 }
 
 // Kernel is one benchmark kernel's headline figures.
@@ -105,9 +104,8 @@ type Tolerances struct {
 // guided must score on the imbalanced kernel. This is the tentpole
 // claim the schedules section exists to pin: guided's decaying chunks
 // rebalance the triangular workload that static's contiguous halves
-// cannot. Auto gets no such floor — its local-range-plus-stealing
-// split starts from static's halves, and on this kernel stealing only
-// recovers the tail, landing its balance near static's.
+// cannot. Auto gets no such floor: it runs as guided (libomp's choice
+// for kmp_sch_auto), so a floor would only repeat guided's.
 const guidedBalanceMargin = 0.05
 
 // Check is one gated comparison.

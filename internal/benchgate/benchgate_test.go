@@ -20,7 +20,7 @@ func profile() *Profile {
 			{Kernel: "imbalanced", Schedule: "static", Threads: 4, Speedup: 2.26, LoadBalance: 0.57, Chunks: 4},
 			{Kernel: "imbalanced", Schedule: "dynamic", Threads: 4, Speedup: 3.66, LoadBalance: 0.94, Chunks: 48},
 			{Kernel: "imbalanced", Schedule: "guided", Threads: 4, Speedup: 2.77, LoadBalance: 0.71, Chunks: 21},
-			{Kernel: "imbalanced", Schedule: "auto", Threads: 4, Speedup: 2.27, LoadBalance: 0.58, Chunks: 24, Steals: 2},
+			{Kernel: "imbalanced", Schedule: "auto", Threads: 4, Speedup: 2.27, LoadBalance: 0.58, Chunks: 24},
 		},
 	}
 }

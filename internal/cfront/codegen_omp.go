@@ -510,7 +510,7 @@ func collectDecls(n any, out map[string]bool) {
 // __kmpc_dispatch_init_8/__kmpc_dispatch_next_8 and iterate each chunk
 // with a private induction variable. The runtime picks the pull math
 // from the schedule kind constant: fixed chunks for dynamic, decaying
-// chunks for guided, local ranges with work stealing for auto.
+// chunks for guided and for auto, which runs as guided like libomp's.
 func (c *compiler) genOmpForDispatch(st *cast.OmpFor, sched int64) error {
 	if st.NoWait {
 		// The dispatch state is per-construct; without the closing barrier

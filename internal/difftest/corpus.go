@@ -31,8 +31,10 @@ type ReproMeta struct {
 	Schema string `json:"schema"`
 	// Expect states the replay contract: "clean" — the round trip of
 	// source.c and the self-consistency of reduced.ll must hold (the
-	// bug is fixed); "parse-reject" — reduced.ll is degenerate text the
-	// IR parser must refuse.
+	// bug is fixed); "trap" — as clean, and source.c must also end in
+	// the same categorized trap on the golden evaluator and both
+	// engines (it used to crash them); "parse-reject" — reduced.ll is
+	// degenerate text the IR parser must refuse.
 	Expect      string   `json:"expect"`
 	Seed        uint64   `json:"seed,omitempty"`
 	Entries     []string `json:"entries,omitempty"`

@@ -54,6 +54,10 @@ type golden struct {
 	dispChunk  int64
 	dispTrip   int64
 	dispNext   int64
+
+	// initTrap is set when global memory could not be allocated; every
+	// entry then traps with it before executing anything.
+	initTrap *goldenTrap
 }
 
 // newGolden allocates golden global memory with the machine's observable
@@ -62,7 +66,12 @@ type golden struct {
 func newGolden(m *ir.Module, fuel int64) *golden {
 	g := &golden{mod: m, globals: map[*ir.Global]*interp.MemObject{}, fuel: fuel}
 	for _, gl := range m.Globals {
-		obj := interp.NewMemObject(gl.Nam, ir.SizeOfElems(gl.Elem))
+		n := ir.SizeOfElems(gl.Elem)
+		if t := interp.AllocLimitTrap("@"+gl.Nam, n); t != nil {
+			g.initTrap = &goldenTrap{kind: t.Kind, msg: t.Msg}
+			break
+		}
+		obj := interp.NewMemObject(gl.Nam, n)
 		if gl.Init != nil {
 			obj.Cells[0] = goldenConst(gl.Init)
 		} else {
@@ -133,6 +142,9 @@ func GoldenRun(m *ir.Module, entries, globals []string, fuel int64) *driver.Outc
 }
 
 func (g *golden) runProtected(f *ir.Function) (t *goldenTrap) {
+	if g.initTrap != nil {
+		return g.initTrap
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			if gt, ok := r.(*goldenTrap); ok {
@@ -257,6 +269,9 @@ func (g *golden) instr(fr gframe, in *ir.Instr) {
 	switch in.Op {
 	case ir.OpAlloca:
 		n := ir.SizeOfElems(in.AllocaElem)
+		if t := interp.AllocLimitTrap(in.Nam, n); t != nil {
+			g.trap(t.Kind, "%s", t.Msg)
+		}
 		obj := interp.NewMemObject(in.Nam, n)
 		zero := interp.IntV(0)
 		t := in.AllocaElem
@@ -542,14 +557,11 @@ func (g *golden) external(f *ir.Function, args []interp.Value) interp.Value {
 			return interp.IntV(0)
 		}
 		// Pull math per schedule kind, team of one: dynamic takes a fixed
-		// chunk, guided a decaying GuidedTake over 1 worker, and auto —
-		// whose single local range is the whole space — AutoTake halves.
-		// Identical sequences to the machine at 1 thread.
+		// chunk, and guided (auto runs as guided) a decaying GuidedTake
+		// over 1 worker. Identical sequences to the machine at 1 thread.
 		var take int64
 		switch g.dispSched {
-		case omp.SchedAuto:
-			take = omp.AutoTake(rem)
-		case omp.SchedGuided:
+		case omp.SchedGuided, omp.SchedAuto:
 			take = omp.GuidedTake(rem, g.dispChunk, 1)
 		default:
 			take = g.dispChunk
@@ -601,6 +613,9 @@ func (g *golden) external(f *ir.Function, args []interp.Value) interp.Value {
 		n := int(args[0].I)
 		if n < 0 {
 			g.trap(interp.TrapGeneric, "malloc with negative size")
+		}
+		if t := interp.AllocLimitTrap("heap", n); t != nil {
+			g.trap(t.Kind, "%s", t.Msg)
 		}
 		return interp.PtrV(interp.Pointer{Obj: interp.NewMemObject("heap", n)})
 	case "free", "timer_start", "timer_stop":

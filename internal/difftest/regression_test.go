@@ -16,8 +16,10 @@ import (
 // on both engines (the tree-walker reference/optimized runs and the
 // bytecode VM trust boundary) at 1 and N threads, plus the module
 // self-consistency check on the reduced reproducer when one is
-// present. "parse-reject" entries pin degenerate IR text the parser
-// must keep refusing. A bug fixed once can never silently return.
+// present. "trap" entries additionally require source.c to end in one
+// categorized trap on the golden evaluator and both engines.
+// "parse-reject" entries pin degenerate IR text the parser must keep
+// refusing. A bug fixed once can never silently return.
 func TestRegressionCorpus(t *testing.T) {
 	repros, err := LoadCorpus(filepath.Join("testdata", "corpus"))
 	if err != nil {
@@ -38,7 +40,7 @@ func TestRegressionCorpus(t *testing.T) {
 				if _, err := ir.Parse(r.IR); err == nil {
 					t.Fatalf("parser accepted degenerate text this entry pins as rejected:\n%s", r.IR)
 				}
-			case "clean":
+			case "clean", "trap":
 				threads := r.Meta.Threads
 				if threads <= 0 {
 					threads = 8
@@ -74,10 +76,47 @@ func TestRegressionCorpus(t *testing.T) {
 						t.Error("reduced reproducer diverges again (golden vs tree vs bytecode vs N threads)")
 					}
 				}
+				if r.Meta.Expect == "trap" {
+					requireSameTrap(t, s, r)
+				}
 			default:
 				t.Fatalf("unknown expect %q", r.Meta.Expect)
 			}
 		})
+	}
+}
+
+// requireSameTrap runs source.c's frontend module at 1 thread on the
+// golden evaluator, the tree-walker and the bytecode VM: all three must
+// trap, with the same categorized kind in the same entry.
+func requireSameTrap(t *testing.T, s *driver.Session, r *Repro) {
+	t.Helper()
+	if r.Source == "" {
+		t.Fatal("trap entry has no source.c")
+	}
+	m, err := s.Frontend(r.Source, "corpus/"+r.Name)
+	if err != nil {
+		t.Fatalf("frontend: %v", err)
+	}
+	const fuel = 16_000_000
+	byt, err := driver.EngineFor("bytecode")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := GoldenRun(m, r.Meta.Entries, nil, fuel)
+	tree, _ := driver.RunForOutcome(m, r.Meta.Entries, nil, interp.Options{NumThreads: 1, Fuel: fuel})
+	bvm, _ := driver.RunForOutcome(m, r.Meta.Entries, nil, interp.Options{NumThreads: 1, Fuel: fuel, Body: byt})
+	for _, o := range []struct {
+		name string
+		out  *driver.Outcome
+	}{{"golden", golden}, {"tree", tree}, {"bytecode", bvm}} {
+		if !o.out.Trapped || o.out.TrapKind == interp.TrapGeneric {
+			t.Errorf("%s: trapped=%v kind=%s err=%q, want a categorized trap",
+				o.name, o.out.Trapped, o.out.TrapKind, o.out.Err)
+		}
+	}
+	for _, d := range append(golden.Diff(tree), tree.Diff(bvm)...) {
+		t.Errorf("engines disagree: %s", d)
 	}
 }
 

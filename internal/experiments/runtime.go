@@ -123,7 +123,7 @@ func RuntimeProfile(cfg Config) ([]RuntimeRow, error) {
 // ScheduleRow is one schedule kind's showing on the triangular
 // imbalanced kernel: the deterministic-clock speedup over the
 // sequential variant, the profiler's load balance, and the dispatch
-// traffic (chunk pulls, auto's work-stealing transfers).
+// traffic (chunk pulls).
 type ScheduleRow struct {
 	Kernel      string  `json:"kernel"`
 	Schedule    string  `json:"schedule"`
@@ -131,14 +131,13 @@ type ScheduleRow struct {
 	Speedup     float64 `json:"speedup"`
 	LoadBalance float64 `json:"load_balance"`
 	Chunks      int64   `json:"chunks"`
-	Steals      int64   `json:"steals"`
 }
 
 // ScheduleBalance runs the triangular imbalanced kernel under every
 // schedule kind and measures how each copes with the skewed iteration
 // cost: static's contiguous halves leave the low-tid workers with most
-// of the work, dynamic/guided rebalance at the shared cursor, auto
-// rebalances by stealing. Outputs are cross-checked bitwise against
+// of the work, dynamic/guided/auto rebalance at the shared cursor (auto
+// runs as guided). Outputs are cross-checked bitwise against
 // the sequential variant — scheduling must never change the answer.
 // Speedup and load balance for guided/auto are timing-dependent at
 // >1 threads (chunk-to-worker assignment varies run to run), so gates
@@ -188,7 +187,6 @@ func ScheduleBalance(cfg Config) ([]ScheduleRow, error) {
 		for _, r := range p.Regions {
 			for _, t := range r.Threads {
 				row.Chunks += t.Chunks
-				row.Steals += t.Steals
 			}
 		}
 		rows = append(rows, row)
@@ -230,11 +228,11 @@ func runRuntime(w io.Writer, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\n%-12s %-10s %8s %8s %8s %8s %8s\n",
-		"Kernel", "Schedule", "Threads", "Speedup", "LoadBal", "Chunks", "Steals")
+	fmt.Fprintf(w, "\n%-12s %-10s %8s %8s %8s %8s\n",
+		"Kernel", "Schedule", "Threads", "Speedup", "LoadBal", "Chunks")
 	for _, r := range srows {
-		fmt.Fprintf(w, "%-12s %-10s %8d %8.2f %8.2f %8d %8d\n",
-			r.Kernel, r.Schedule, r.Threads, r.Speedup, r.LoadBalance, r.Chunks, r.Steals)
+		fmt.Fprintf(w, "%-12s %-10s %8d %8.2f %8.2f %8d\n",
+			r.Kernel, r.Schedule, r.Threads, r.Speedup, r.LoadBalance, r.Chunks)
 	}
 	fmt.Fprintln(w, "schedules: triangular workload; guided/auto rebalance what static cannot")
 	return nil

@@ -112,6 +112,9 @@ func (treeEngine) RunBody(rt *RT, f *ir.Function, args []Value) Value {
 func (rt *RT) execInstr(fr *frame, in *ir.Instr) {
 	switch in.Op {
 	case ir.OpAlloca:
+		if t := AllocLimitTrap(in.Nam, ir.SizeOfElems(in.AllocaElem)); t != nil {
+			panic(t)
+		}
 		fr.set(in, PtrV(Pointer{Obj: NewZeroedObject(in.Nam, in.AllocaElem)}))
 
 	case ir.OpLoad:

@@ -60,6 +60,9 @@ type Machine struct {
 	Opts Options
 
 	globals map[*ir.Global]*MemObject
+	// initTrap is set when global memory could not be allocated; every
+	// Run raises it before executing anything.
+	initTrap *Trap
 
 	outMu sync.Mutex
 	out   bytes.Buffer
@@ -97,7 +100,8 @@ type funcInfo struct {
 
 // NewMachine prepares a machine for m: global memory is allocated and
 // zero-initialized (or scalar-initialized when the global has an
-// initializer).
+// initializer). A global past MaxObjectCells is not allocated; every
+// Run then returns its TrapAllocLimit.
 func NewMachine(m *ir.Module, opts Options) *Machine {
 	if opts.NumThreads <= 0 {
 		opts.NumThreads = 1
@@ -122,6 +126,10 @@ func NewMachine(m *ir.Module, opts Options) *Machine {
 		mach.races = newRaceChecker()
 	}
 	for _, g := range m.Globals {
+		if t := AllocLimitTrap("@"+g.Nam, ir.SizeOfElems(g.Elem)); t != nil {
+			mach.initTrap = t
+			break
+		}
 		obj := NewZeroedObject(g.Nam, g.Elem)
 		if g.Init != nil {
 			obj.Cells[0] = constValue(g.Init)
@@ -312,6 +320,9 @@ func (m *Machine) Run(name string, args ...Value) (Value, error) {
 		return Value{}, fmt.Errorf("interp: no function @%s", name)
 	}
 	m.met.noteRun()
+	if m.initTrap != nil {
+		return Value{}, m.initTrap
+	}
 	rt := &RT{m: m, gtid: 0}
 	var ret Value
 	err := rt.protect(func() {

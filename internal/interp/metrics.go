@@ -16,7 +16,6 @@ type machMetrics struct {
 	regions       *metrics.Counter
 	conflicts     *metrics.Counter
 	barrierWaitNS *metrics.Counter
-	steals        *metrics.Counter
 }
 
 // newMachMetrics acquires the interpreter's counters from r, labelled
@@ -35,8 +34,6 @@ func newMachMetrics(r *metrics.Registry, engine string) *machMetrics {
 			"cross-thread conflicts found by the dynamic DOALL checker", eng),
 		barrierWaitNS: r.Counter("splendid_interp_barrier_wait_ns_total",
 			"nanoseconds workers spent blocked at team barriers", eng),
-		steals: r.Counter("splendid_interp_steals_total",
-			"work-stealing transfers under schedule(auto) dispatch", eng),
 	}
 }
 
@@ -66,11 +63,4 @@ func (mm *machMetrics) noteBarrierWait(d time.Duration) {
 		return
 	}
 	mm.barrierWaitNS.Add(d.Nanoseconds())
-}
-
-func (mm *machMetrics) noteSteal() {
-	if mm == nil {
-		return
-	}
-	mm.steals.Inc()
 }

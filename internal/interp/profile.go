@@ -27,13 +27,10 @@ const ProfileSchema = "splendid-runtime-profile/v1"
 // ThreadProfile is one team thread's totals within a region (summed
 // over all forks of that region).
 type ThreadProfile struct {
-	TID        int   `json:"tid"`
-	Steps      int64 `json:"steps"`
-	Iterations int64 `json:"iterations"`
-	Chunks     int64 `json:"chunks"`
-	// Steals counts schedule(auto) range transfers this thread initiated
-	// (it drained its local range and took a teammate's tail half).
-	Steals        int64 `json:"steals,omitempty"`
+	TID           int   `json:"tid"`
+	Steps         int64 `json:"steps"`
+	Iterations    int64 `json:"iterations"`
+	Chunks        int64 `json:"chunks"`
 	BarrierWaits  int64 `json:"barrier_waits"`
 	BarrierWaitNS int64 `json:"barrier_wait_ns"`
 }
@@ -108,7 +105,6 @@ type threadStat struct {
 	Steps         int64
 	Iterations    int64
 	Chunks        int64
-	Steals        int64
 	BarrierWaits  int64
 	BarrierWaitNS int64
 }
@@ -121,15 +117,6 @@ func (ts *threadStat) noteChunk(iters int64) {
 	}
 	ts.Chunks++
 	ts.Iterations += iters
-}
-
-// noteSteal records one work-stealing transfer the worker initiated
-// under schedule(auto). Nil-safe.
-func (ts *threadStat) noteSteal() {
-	if ts == nil {
-		return
-	}
-	ts.Steals++
 }
 
 // noteBarrier records one barrier arrival and its wait time. Nil-safe.
@@ -182,7 +169,6 @@ func (p *profiler) merge(microtask string, wall time.Duration, spanSteps int64, 
 		t.Steps += stats[i].Steps
 		t.Iterations += stats[i].Iterations
 		t.Chunks += stats[i].Chunks
-		t.Steals += stats[i].Steals
 		t.BarrierWaits += stats[i].BarrierWaits
 		t.BarrierWaitNS += stats[i].BarrierWaitNS
 		r.WorkSteps += stats[i].Steps

@@ -53,16 +53,9 @@ type team struct {
 	dispIncr  int64
 	dispChunk int64
 	dispTrip  int64
-	// Shared cursor (dynamic/guided): next unserved iteration index.
+	// Shared cursor: next unserved iteration index.
 	dispNext int64
-	// Per-worker local ranges (auto): worker tid owns indices
-	// [dispOwn[tid].next, dispOwn[tid].end); a drained worker steals the
-	// tail half of the most-loaded teammate's range.
-	dispOwn []idxRange
 }
-
-// idxRange is a half-open index-space interval [next, end).
-type idxRange struct{ next, end int64 }
 
 func newTeam(size int) *team {
 	t := &team{size: size}
@@ -207,6 +200,9 @@ func (rt *RT) callExternal(f *ir.Function, args []Value) Value {
 		n := int(args[0].I)
 		if n < 0 {
 			rt.Trapf("malloc with negative size %d", n)
+		}
+		if t := AllocLimitTrap("heap", n); t != nil {
+			panic(t)
 		}
 		return PtrV(Pointer{Obj: NewMemObject("heap", n)})
 	case "free":
@@ -485,17 +481,6 @@ func (rt *RT) dispatchInit(args []Value) {
 		t.dispSched, t.dispLB, t.dispUB = sched, lb, ub
 		t.dispIncr, t.dispChunk = incr, chunk
 		t.dispTrip, t.dispNext = trip, 0
-		if sched == omp.SchedAuto {
-			// Precompute every worker's local range now: under the race
-			// checker's token-serialized mode one worker can drain the
-			// whole construct (stealing teammate by teammate) before any
-			// other worker even arrives.
-			t.dispOwn = make([]idxRange, t.size)
-			for tid := range t.dispOwn {
-				s, c := omp.StaticSpan(trip, t.size, tid, true)
-				t.dispOwn[tid] = idxRange{next: s, end: s + c}
-			}
-		}
 	} else if sched != t.dispSched || lb != t.dispLB || ub != t.dispUB ||
 		incr != t.dispIncr || chunk != t.dispChunk {
 		got := fmt.Sprintf("(sched %d, lb %d, ub %d, incr %d, chunk %d)", sched, lb, ub, incr, chunk)
@@ -512,9 +497,8 @@ func (rt *RT) dispatchInit(args []Value) {
 // dispatchNext implements __kmpc_dispatch_next_8: it hands the caller
 // the next chunk of the construct's iteration space, or returns 0 when
 // drained. Dynamic pulls a fixed chunk and guided an exponentially
-// decaying one off the shared cursor; auto pulls halves of the worker's
-// own precomputed range, stealing the tail half of the most-loaded
-// teammate's range when its own runs dry.
+// decaying one off the shared cursor. Auto runs as guided, the choice
+// libomp makes for kmp_sch_auto.
 func (rt *RT) dispatchNext(args []Value) Value {
 	if len(args) != 5 {
 		rt.Trapf("dispatch_next_8 expects 5 args, got %d", len(args))
@@ -541,32 +525,7 @@ func (rt *RT) dispatchNext(args []Value) Value {
 	// Claim [i0, i0+take) in index space, per schedule kind.
 	var i0, take int64
 	switch t.dispSched {
-	case omp.SchedAuto:
-		own := &t.dispOwn[rt.gtid%len(t.dispOwn)]
-		if own.next >= own.end {
-			// Drained: steal the tail half of the most-loaded teammate's
-			// range (ties to the lowest tid). The victim keeps the head it
-			// is working near.
-			victim, best := -1, int64(0)
-			for tid := range t.dispOwn {
-				if rem := t.dispOwn[tid].end - t.dispOwn[tid].next; rem > best {
-					victim, best = tid, rem
-				}
-			}
-			if victim < 0 {
-				return t.dispExhausted()
-			}
-			v := &t.dispOwn[victim]
-			steal := best - best/2
-			own.next, own.end = v.end-steal, v.end
-			v.end -= steal
-			rt.tstat.noteSteal()
-			rt.m.met.noteSteal()
-		}
-		i0 = own.next
-		take = omp.AutoTake(own.end - own.next)
-		own.next += take
-	case omp.SchedGuided:
+	case omp.SchedGuided, omp.SchedAuto:
 		if t.dispNext >= t.dispTrip {
 			return t.dispExhausted()
 		}
@@ -606,7 +565,6 @@ func (t *team) dispExhausted() Value {
 	if t.dispDone >= t.size {
 		t.dispInits = 0
 		t.dispDone = 0
-		t.dispOwn = nil
 	}
 	return IntV(0)
 }

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -72,6 +73,21 @@ entry:
 	return strings.Replace(src, "CHUNK", chunk, 1)
 }
 
+// dispatchLogKernel is dispatchKernel with chunk 1 that also appends
+// every pulled chunk's first index to @LOG (the hook goes ahead of the
+// chunk block's branch into the loop), counting pulls in @NPULL. The
+// log is unsynchronized, so only serialized teams may run it.
+func dispatchLogKernel(sched string) string {
+	const logChunk = `  %n = load i64, i64* @NPULL
+  %slot = getelementptr [100 x i64], [100 x i64]* @LOG, i64 0, i64 %n
+  store i64 %lo, i64* %slot
+  %n.next = add i64 %n, 1
+  store i64 %n.next, i64* @NPULL
+`
+	src := "@LOG = global [100 x i64] zeroinitializer\n@NPULL = global i64 0\n" + dispatchKernel(sched, "1")
+	return strings.Replace(src, "  br label %loop", logChunk+"  br label %loop", 1)
+}
+
 func checkCovered(t *testing.T, mach *Machine) {
 	t.Helper()
 	a := mach.GlobalMem("A")
@@ -82,25 +98,39 @@ func checkCovered(t *testing.T, mach *Machine) {
 	}
 }
 
-// TestDispatchGuided pins schedule(guided)'s pull sequence at 1 thread:
-// the worker takes exponentially decaying chunks — exactly the
-// omp.GuidedTake series — and covers the space once.
+// TestDispatchGuided pins schedule(guided)'s pull sequence, and
+// schedule(auto)'s, which runs as guided (libomp's choice for
+// kmp_sch_auto). Under the race checker's serialized team one worker
+// drains the whole construct, so the logged chunk starts must be exactly
+// the omp.GuidedTake series for the team size, covering the space once.
 func TestDispatchGuided(t *testing.T) {
-	_, mach := run(t, dispatchKernel("36", "1"), "main",
-		Options{NumThreads: 1, Profile: true})
-	checkCovered(t, mach)
-	wantPulls := int64(0)
-	for rem := int64(100); rem > 0; {
-		rem -= omp.GuidedTake(rem, 1, 1)
-		wantPulls++
-	}
-	p := mach.Profile()
-	th := p.Regions[0].Threads[0]
-	if th.Chunks != wantPulls {
-		t.Errorf("guided pulls = %d, want the GuidedTake series' %d", th.Chunks, wantPulls)
-	}
-	if th.Iterations != 100 {
-		t.Errorf("guided iterations = %d, want 100", th.Iterations)
+	for _, sched := range []string{"36", "38"} {
+		for _, threads := range []int{1, 4} {
+			_, mach := run(t, dispatchLogKernel(sched), "main",
+				Options{NumThreads: threads, Profile: true, CheckRaces: true})
+			checkCovered(t, mach)
+			var want []int64
+			for next := int64(0); next < 100; next += omp.GuidedTake(100-next, 1, threads) {
+				want = append(want, next)
+			}
+			var got []int64
+			for _, c := range mach.GlobalMem("LOG").Cells[:mach.GlobalMem("NPULL").Cells[0].I] {
+				got = append(got, c.I)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("sched %s, %d threads: chunk starts %v, want the GuidedTake series %v",
+					sched, threads, got, want)
+			}
+			var chunks, iters int64
+			for _, th := range mach.Profile().Regions[0].Threads {
+				chunks += th.Chunks
+				iters += th.Iterations
+			}
+			if chunks != int64(len(want)) || iters != 100 {
+				t.Errorf("sched %s, %d threads: %d chunks over %d iterations, want %d over 100",
+					sched, threads, chunks, iters, len(want))
+			}
+		}
 	}
 }
 
@@ -120,32 +150,21 @@ func TestDispatchGuidedMultithread(t *testing.T) {
 	}
 }
 
-// TestDispatchAutoSteals runs schedule(auto) under the race checker's
-// serialized team: the first worker to run drains its own precomputed
-// range and then steals every teammate's, so the profiler must record
-// transfers and the space must still be covered exactly once.
-func TestDispatchAutoSteals(t *testing.T) {
-	_, mach := run(t, dispatchKernel("38", "1"), "main",
-		Options{NumThreads: 4, Profile: true, CheckRaces: true})
-	checkCovered(t, mach)
-	var iters, steals int64
-	for _, th := range mach.Profile().Regions[0].Threads {
-		iters += th.Iterations
-		steals += th.Steals
-	}
-	if iters != 100 {
-		t.Errorf("auto iterations sum to %d, want 100", iters)
-	}
-	if steals == 0 {
-		t.Error("serialized auto run recorded no steals; the draining worker must have stolen teammates' ranges")
-	}
-}
-
 // TestDispatchAutoParallel checks plain concurrent schedule(auto): full
 // coverage under real interleavings.
 func TestDispatchAutoParallel(t *testing.T) {
 	_, mach := run(t, dispatchKernel("38", "1"), "main", Options{NumThreads: 8})
 	checkCovered(t, mach)
+}
+
+// TestDispatchAutoZeroChunk: schedule(auto) takes no chunk clause, so
+// IR text may pass chunk 0. The runtime accepts it, and GuidedTake's
+// floor of one iteration still drains the space.
+func TestDispatchAutoZeroChunk(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		_, mach := run(t, dispatchKernel("38", "0"), "main", Options{NumThreads: threads})
+		checkCovered(t, mach)
+	}
 }
 
 // TestDispatchUnknownKindTraps pins the tentpole's trap-not-fallback

@@ -46,6 +46,23 @@ var nextBase atomic.Int64
 
 func init() { nextBase.Store(1 << 20) }
 
+// MaxObjectCells is the largest memory object, in cells, that a global,
+// an alloca or a malloc may create: 1<<22 cells holds a 2048x2048
+// matrix. A bigger request raises TrapAllocLimit instead of reaching
+// the Go allocator, where it would panic or exhaust host memory.
+const MaxObjectCells = 1 << 22
+
+// AllocLimitTrap is the trap for an object of n cells past
+// MaxObjectCells, or nil when n fits. Both engines and the golden
+// evaluator raise it, so the three agree on the kind and message.
+func AllocLimitTrap(name string, n int) *Trap {
+	if n <= MaxObjectCells {
+		return nil
+	}
+	return &Trap{Kind: TrapAllocLimit,
+		Msg: fmt.Sprintf("object %s of %d cells exceeds the %d-cell limit", name, n, MaxObjectCells)}
+}
+
 // NewMemObject allocates an object of n cells with a fresh address range.
 func NewMemObject(name string, n int) *MemObject {
 	base := nextBase.Add(int64(n) + 64)
@@ -130,15 +147,16 @@ type TrapKind uint8
 
 // Trap categories.
 const (
-	TrapGeneric   TrapKind = iota // uncategorized runtime error
-	TrapDivByZero                 // sdiv by zero
-	TrapRemByZero                 // srem by zero
-	TrapShiftOOB                  // shl/ashr count negative or >= bit width
-	TrapMemOOB                    // load/store outside an object
-	TrapNullDeref                 // load/store through null or non-pointer
-	TrapFuel                      // fuel budget exhausted
-	TrapCallDepth                 // interpreted recursion limit
-	TrapWorker                    // parallel worker died with a non-Trap error
+	TrapGeneric    TrapKind = iota // uncategorized runtime error
+	TrapDivByZero                  // sdiv by zero
+	TrapRemByZero                  // srem by zero
+	TrapShiftOOB                   // shl/ashr count negative or >= bit width
+	TrapMemOOB                     // load/store outside an object
+	TrapNullDeref                  // load/store through null or non-pointer
+	TrapFuel                       // fuel budget exhausted
+	TrapCallDepth                  // interpreted recursion limit
+	TrapWorker                     // parallel worker died with a non-Trap error
+	TrapAllocLimit                 // object larger than MaxObjectCells
 )
 
 func (k TrapKind) String() string {
@@ -159,6 +177,8 @@ func (k TrapKind) String() string {
 		return "call-depth"
 	case TrapWorker:
 		return "worker-error"
+	case TrapAllocLimit:
+		return "alloc-limit"
 	}
 	return "generic"
 }

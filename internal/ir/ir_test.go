@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -351,6 +352,20 @@ func TestSizeOfElems(t *testing.T) {
 	}
 	if got := SizeOfElems(Ptr(F64)); got != 1 {
 		t.Errorf("SizeOfElems ptr = %d, want 1", got)
+	}
+	// Products past int saturate instead of wrapping: 2^62 x 4 used to
+	// wrap to a zero-cell object.
+	for _, ty := range []Type{
+		Array(1<<62, Array(4, F64)),
+		Array(math.MaxInt, Array(2, I64)),
+		Array(3, Array(math.MaxInt/2, F64)),
+	} {
+		if got := SizeOfElems(ty); got != math.MaxInt {
+			t.Errorf("SizeOfElems %s = %d, want saturation at math.MaxInt", ty, got)
+		}
+	}
+	if got := SizeOfElems(Array(0, Array(math.MaxInt, F64))); got != 0 {
+		t.Errorf("SizeOfElems of a zero-length array = %d, want 0", got)
 	}
 }
 

@@ -10,6 +10,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -218,12 +219,17 @@ func ElemOf(t Type) Type {
 // SizeOfElems returns the size of t measured in scalar cells. Scalars count
 // as 1; arrays multiply. Pointers count as 1 cell. This is the unit the
 // interpreter's memory model uses, sidestepping byte-level layout while
-// keeping getelementptr arithmetic exact.
+// keeping getelementptr arithmetic exact. A size that does not fit in an
+// int (or a negative array length) saturates at math.MaxInt, so it can
+// never wrap into a small or negative cell count.
 func SizeOfElems(t Type) int {
-	switch tt := t.(type) {
-	case *ArrayType:
-		return tt.Len * SizeOfElems(tt.Elem)
-	default:
+	tt, ok := t.(*ArrayType)
+	if !ok {
 		return 1
 	}
+	n := SizeOfElems(tt.Elem)
+	if tt.Len < 0 || tt.Len > 0 && n > math.MaxInt/tt.Len {
+		return math.MaxInt
+	}
+	return tt.Len * n
 }

@@ -42,7 +42,7 @@ const (
 	SchedStaticChunked int64 = 33 // kmp_sch_static_chunked
 	SchedDynamic       int64 = 35 // kmp_sch_dynamic_chunked
 	SchedGuided        int64 = 36 // kmp_sch_guided_chunked: decaying chunks
-	SchedAuto          int64 = 38 // kmp_sch_auto: runtime-chosen (work stealing)
+	SchedAuto          int64 = 38 // kmp_sch_auto: runtime-chosen; runs as guided, like libomp
 )
 
 // SchedName maps a schedule kind to its pragma spelling ("static",
@@ -67,7 +67,7 @@ func IsStaticSched(kind int64) bool {
 }
 
 // IsDispatchSched reports whether kind is served by the dispatch
-// (shared-cursor / work-stealing) runtime path.
+// (shared-cursor) runtime path.
 func IsDispatchSched(kind int64) bool {
 	return kind == SchedDynamic || kind == SchedGuided || kind == SchedAuto
 }
@@ -168,17 +168,6 @@ func GuidedTake(remaining, minChunk int64, nthreads int) int64 {
 		take = remaining
 	}
 	return take
-}
-
-// AutoTake is the self-scheduling pull on a worker's local range under
-// schedule(auto): half of what remains, rounding up — large chunks while
-// a range is full, single iterations near the end, which keeps stealable
-// tails around without a tuning knob.
-func AutoTake(remaining int64) int64 {
-	if remaining <= 0 {
-		return 0
-	}
-	return (remaining + 1) / 2
 }
 
 // EmptyRange is the (lower, upper) pair published to a worker with no

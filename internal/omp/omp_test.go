@@ -277,22 +277,6 @@ func TestGuidedTake(t *testing.T) {
 	}
 }
 
-func TestAutoTake(t *testing.T) {
-	if AutoTake(0) != 0 || AutoTake(1) != 1 || AutoTake(2) != 1 || AutoTake(7) != 4 {
-		t.Errorf("AutoTake sequence wrong: %d %d %d %d",
-			AutoTake(0), AutoTake(1), AutoTake(2), AutoTake(7))
-	}
-	// Halving drains any space in O(log n) pulls.
-	remaining, pulls := int64(1<<40), 0
-	for remaining > 0 {
-		remaining -= AutoTake(remaining)
-		pulls++
-	}
-	if pulls > 42 {
-		t.Errorf("halving took %d pulls", pulls)
-	}
-}
-
 func TestEmptyRange(t *testing.T) {
 	if lo, hi := EmptyRange(1); lo <= hi {
 		t.Errorf("positive-step empty range runs: [%d,%d]", lo, hi)

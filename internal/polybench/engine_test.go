@@ -60,7 +60,7 @@ func TestEngineDeterminism(t *testing.T) {
 // outputs must be bitwise-identical across engines and thread counts
 // under every schedule (the loop is DOALL, so any chunk-to-worker
 // assignment computes the same cells), but work/span totals are only
-// compared at 1 thread — guided's cursor and auto's stealing make the
+// compared at 1 thread — the shared cursor of guided and auto makes the
 // multi-thread chunk assignment timing-dependent, which legitimately
 // moves step counts between workers.
 func TestEngineDeterminismSchedules(t *testing.T) {

@@ -8,8 +8,8 @@ import (
 // The triangular-workload kernel for schedule experiments. Row i's
 // inner loop runs N-i iterations, so contiguous static partitions hand
 // the low-tid workers several times the work of the high-tid ones —
-// the load-imbalance shape that schedule(guided)'s decaying chunks and
-// schedule(auto)'s work stealing exist to fix. It stays outside the
+// the load-imbalance shape that schedule(guided)'s decaying chunks
+// exist to fix (schedule(auto) runs as guided). It stays outside the
 // 16-benchmark registry (the paper's Table 3/4 set is closed); the
 // schedule-balance experiment and the engine determinism gate build
 // variants through ImbalancedKernel.

@@ -533,6 +533,11 @@ func (lo *lowerer) fuse(b *ir.Block, in, next *ir.Instr, cost int32) bool {
 func (lo *lowerer) emitOne(b *ir.Block, in *ir.Instr, cost int32) {
 	switch in.Op {
 	case ir.OpAlloca:
+		if t := interp.AllocLimitTrap(in.Nam, ir.SizeOfElems(in.AllocaElem)); t != nil {
+			// The size is static: trap where the walker's allocation would.
+			lo.emit(inst{op: opTrap, cost: cost, ext: &extra{kind: t.Kind, msg: t.Msg}})
+			return
+		}
 		lo.emit(inst{op: opAlloca, cost: cost, dst: lo.regs[in],
 			ext: &extra{name: in.Nam, elem: in.AllocaElem}})
 

@@ -267,6 +267,38 @@ entry:
   ret i64 %r
 }
 `, interp.TrapCallDepth},
+		// Objects past interp.MaxObjectCells trap instead of reaching the
+		// Go allocator (which panicked on the first one).
+		{"alloc-limit-global", `
+@A = global [9223372036854775807 x double] zeroinitializer
+define i64 @main(i64 %z) {
+entry:
+  ret i64 %z
+}
+`, interp.TrapAllocLimit},
+		{"alloc-limit-wrapping-global", `
+@A = global [4611686018427387904 x [4 x double]] zeroinitializer
+define i64 @main(i64 %z) {
+entry:
+  ret i64 %z
+}
+`, interp.TrapAllocLimit},
+		{"alloc-limit-alloca", `
+define i64 @main(i64 %z) {
+entry:
+  %a = alloca [4194305 x i64]
+  ret i64 %z
+}
+`, interp.TrapAllocLimit},
+		{"alloc-limit-malloc", `
+declare i8* @malloc(i64)
+define i64 @main(i64 %z) {
+entry:
+  %n = add i64 %z, 9223372036854775807
+  %p = call i8* @malloc(i64 %n)
+  ret i64 %z
+}
+`, interp.TrapAllocLimit},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -25,9 +25,6 @@ go test -race ./...
 echo "== driver: -j determinism + -verify-each over PolyBench"
 go test -race -count=1 -run 'TestDeterminismGolden|TestVerifyEachPolyBench' ./internal/driver/
 
-echo "== driver benchmarks (writes BENCH_driver.json)"
-go test -bench=Driver -benchtime=1x ./internal/driver/
-
 echo "== interp: observability + goroutine runtime under the race detector"
 go test -race -count=1 ./internal/interp/
 
