@@ -47,10 +47,13 @@ var nextBase atomic.Int64
 func init() { nextBase.Store(1 << 20) }
 
 // MaxObjectCells is the largest memory object, in cells, that a global,
-// an alloca or a malloc may create: 1<<22 cells holds a 2048x2048
-// matrix. A bigger request raises TrapAllocLimit instead of reaching
-// the Go allocator, where it would panic or exhaust host memory.
-const MaxObjectCells = 1 << 22
+// an alloca or a malloc may create. The largest object any supported
+// workload allocates is doitgen's A and sum at polybench.SizeLarge
+// (160x160x192 = 4,915,200 cells); 1<<23 covers that with 1.7x
+// headroom, and polybench's TestLargeGlobalsFitObjectCap keeps it so.
+// A bigger request raises TrapAllocLimit instead of reaching the Go
+// allocator, where it would panic or exhaust host memory.
+const MaxObjectCells = 1 << 23
 
 // AllocLimitTrap is the trap for an object of n cells past
 // MaxObjectCells, or nil when n fits. Both engines and the golden

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -283,13 +284,13 @@ entry:
   ret i64 %z
 }
 `, interp.TrapAllocLimit},
-		{"alloc-limit-alloca", `
-define i64 @main(i64 %z) {
+		{"alloc-limit-alloca", fmt.Sprintf(`
+define i64 @main(i64 %%z) {
 entry:
-  %a = alloca [4194305 x i64]
-  ret i64 %z
+  %%a = alloca [%d x i64]
+  ret i64 %%z
 }
-`, interp.TrapAllocLimit},
+`, interp.MaxObjectCells+1), interp.TrapAllocLimit},
 		{"alloc-limit-malloc", `
 declare i8* @malloc(i64)
 define i64 @main(i64 %z) {
