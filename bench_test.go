@@ -10,12 +10,14 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
 	"testing"
 
 	"repro/internal/driver"
 	"repro/internal/experiments"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/passes"
 	"repro/internal/polybench"
 	"repro/internal/splendid"
 	"repro/internal/telemetry"
@@ -183,9 +185,10 @@ func metricName(s string) string {
 // BenchmarkDecompileSuite measures raw decompilation throughput: all 16
 // benchmarks through the full SPLENDID pipeline.
 func BenchmarkDecompileSuite(b *testing.B) {
+	s := driver.New(driver.Options{})
 	var mods []*ir.Module
 	for _, bench := range polybench.All() {
-		m, _, err := bench.CompileParallelIR()
+		m, _, err := bench.CompileParallelIR(s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +197,7 @@ func BenchmarkDecompileSuite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j, bench := range polybench.All() {
-			if _, err := splendid.Decompile(mods[j], splendid.Full()); err != nil {
+			if _, err := splendid.Decompile(mods[j], splendid.Full(), passes.RunConfig{}); err != nil {
 				b.Fatalf("%s: %v", bench.Name, err)
 			}
 		}
@@ -210,9 +213,9 @@ func BenchmarkDecompileSuite(b *testing.B) {
 //     (threads × speedup × load balance, embedding each kernel's full
 //     per-region, per-thread profile under the
 //     splendid-runtime-profile/v1 schema), plus the schedules section —
-//     the triangular imbalanced kernel under every schedule kind, the
-//     evidence benchgate uses to pin guided's load-balance win over
-//     static;
+//     the triangular imbalanced kernel under every schedule kind, each
+//     row the median of scheduleSamples runs, the evidence benchgate
+//     uses to pin guided's load-balance win over static;
 //   - BENCH_runtime_trace.json: a Chrome trace_event file of one
 //     profiled kernel execution on the compile timeline, one track per
 //     team thread (load it in chrome://tracing or Perfetto).
@@ -236,10 +239,13 @@ func BenchmarkRuntimeProfile(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		srows, err = experiments.ScheduleBalance(cfg)
-		if err != nil {
-			b.Fatal(err)
+		runs := make([][]experiments.ScheduleRow, scheduleSamples)
+		for k := range runs {
+			if runs[k], err = experiments.ScheduleBalance(cfg); err != nil {
+				b.Fatal(err)
+			}
 		}
+		srows = medianScheduleRows(runs)
 	}
 	b.StopTimer()
 
@@ -313,6 +319,35 @@ func BenchmarkTelemetryDisabled(b *testing.B) {
 		tc.Remarkf("licm", "kernel", "loop", 3, "hoisted %d", 3)
 		sp.EndPass(-3, true)
 	}
+}
+
+// scheduleSamples is how many ScheduleBalance runs each recorded
+// schedules row is the median of. guided's and auto's speedup and load
+// balance depend on which worker wins each chunk race, so a single run
+// can land far from the typical one. Odd, so the median is a sample.
+const scheduleSamples = 5
+
+// medianScheduleRows folds repeated ScheduleBalance runs into one row per
+// schedule kind, taking the median of each measured field on its own.
+func medianScheduleRows(runs [][]experiments.ScheduleRow) []experiments.ScheduleRow {
+	out := append([]experiments.ScheduleRow(nil), runs[0]...)
+	for i := range out {
+		var speedup, balance, chunks []float64
+		for _, run := range runs {
+			speedup = append(speedup, run[i].Speedup)
+			balance = append(balance, run[i].LoadBalance)
+			chunks = append(chunks, float64(run[i].Chunks))
+		}
+		out[i].Speedup = median(speedup)
+		out[i].LoadBalance = median(balance)
+		out[i].Chunks = int64(median(chunks))
+	}
+	return out
+}
+
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
 }
 
 func geomean(xs []float64) float64 {

@@ -44,7 +44,7 @@ func main() {
 	fmt.Println("=== Loop unrolling stays visible ===")
 	fmt.Println("original:")
 	fmt.Print(unrollSrc)
-	m, err := cfront.CompileSource(unrollSrc, "unroll")
+	m, err := cfront.CompileSource(unrollSrc, "unroll", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,8 +57,10 @@ func main() {
 	if !passes.UnrollLoop(f, li.All[0], 4) {
 		log.Fatal("unroll refused")
 	}
-	passes.Optimize(m)
-	dec, err := splendid.Decompile(m, splendid.Full())
+	if err := passes.Optimize(m, passes.RunConfig{}); err != nil {
+		log.Fatal(err)
+	}
+	dec, err := splendid.Decompile(m, splendid.Full(), passes.RunConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func main() {
 	fmt.Println("\n=== Loop distribution stays visible ===")
 	fmt.Println("original:")
 	fmt.Print(distSrc)
-	m2, err := cfront.CompileSource(distSrc, "dist")
+	m2, err := cfront.CompileSource(distSrc, "dist", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,8 +89,10 @@ func main() {
 	if !passes.DistributeLoop(f2, inner) {
 		log.Fatal("distribution refused")
 	}
-	passes.Optimize(m2)
-	dec2, err := splendid.Decompile(m2, splendid.Full())
+	if err := passes.Optimize(m2, passes.RunConfig{}); err != nil {
+		log.Fatal(err)
+	}
+	dec2, err := splendid.Decompile(m2, splendid.Full(), passes.RunConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

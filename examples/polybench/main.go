@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/driver"
 	"repro/internal/interp"
 	"repro/internal/polybench"
 	"repro/internal/splendid"
@@ -36,22 +37,23 @@ func main() {
 		log.Fatalf("unknown benchmark %q", *name)
 	}
 
-	seqM, err := polybench.CompileVariant(b.Seq, b.Name)
+	s := driver.New(driver.Options{})
+	seqM, err := polybench.CompileVariant(s, b.Seq, b.Name)
 	if err != nil {
 		log.Fatal(err)
 	}
-	seq, err := b.Run(seqM, 1)
+	seq, err := b.RunWith(seqM, interp.Options{NumThreads: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	parIR, pres, err := b.CompileParallelIR()
+	parIR, pres, err := b.CompileParallelIR(s)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s: parallelizer converted %d loops\n", b.Name, total(pres.Parallelized))
 
-	dec, err := splendid.Decompile(parIR, splendid.Full())
+	dec, err := s.Decompile(parIR, splendid.Full())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,11 +61,11 @@ func main() {
 		fmt.Println(dec.C)
 	}
 
-	rec, err := polybench.CompileVariant(dec.C, b.Name+".splendid")
+	rec, err := polybench.CompileVariant(s, dec.C, b.Name+".splendid")
 	if err != nil {
 		log.Fatal(err)
 	}
-	par, err := b.Run(rec, *threads)
+	par, err := b.RunWith(rec, interp.Options{NumThreads: *threads})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +74,6 @@ func main() {
 	fmt.Printf("sequential span: %d, parallel span (%d workers): %d  =>  %.2fx speedup\n",
 		seq.SimSteps(), *threads, par.SimSteps(),
 		float64(seq.SimSteps())/float64(par.SimSteps()))
-	_ = interp.Options{}
 }
 
 func total(m map[string]int) int {

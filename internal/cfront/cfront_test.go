@@ -12,12 +12,12 @@ import (
 
 func compileRun(t *testing.T, src, fn string, opts interp.Options, optimize bool, args ...interp.Value) (interp.Value, *interp.Machine) {
 	t.Helper()
-	m, err := CompileSource(src, "test")
+	m, err := CompileSource(src, "test", nil)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	if optimize {
-		passes.Optimize(m)
+		passes.Optimize(m, passes.RunConfig{})
 		if err := m.Verify(); err != nil {
 			t.Fatalf("verify after O2: %v\n%s", err, m.Print())
 		}
@@ -50,7 +50,7 @@ func TestCompileAndRunSum(t *testing.T) {
 }
 
 func TestDebugMetadataEmitted(t *testing.T) {
-	m, err := CompileSource(sumSrc, "test")
+	m, err := CompileSource(sumSrc, "test", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,12 @@ void seed() {
 
 func TestCompile2DArrays(t *testing.T) {
 	for _, optimize := range []bool{false, true} {
-		m, err := CompileSource(matSrc, "test")
+		m, err := CompileSource(matSrc, "test", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if optimize {
-			passes.Optimize(m)
+			passes.Optimize(m, passes.RunConfig{})
 		}
 		mach := interp.NewMachine(m, interp.Options{})
 		if _, err := mach.Run("seed"); err != nil {
@@ -239,11 +239,11 @@ long callalias() {
 `
 
 func TestPointersAndAliasCheck(t *testing.T) {
-	m, err := CompileSource(pointerSrc, "test")
+	m, err := CompileSource(pointerSrc, "test", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	passes.Optimize(m)
+	passes.Optimize(m, passes.RunConfig{})
 	mach := interp.NewMachine(m, interp.Options{})
 	if _, err := mach.Run("run"); err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ void seed() {
 `
 
 func TestOmpParallelForLowering(t *testing.T) {
-	m, err := CompileSource(ompSrc, "test")
+	m, err := CompileSource(ompSrc, "test", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,12 +358,12 @@ func TestOmpParallelForLowering(t *testing.T) {
 func TestOmpExecutionMatchesSequential(t *testing.T) {
 	for _, optimize := range []bool{false, true} {
 		for _, threads := range []int{1, 4} {
-			m, err := CompileSource(ompSrc, "test")
+			m, err := CompileSource(ompSrc, "test", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if optimize {
-				passes.Optimize(m)
+				passes.Optimize(m, passes.RunConfig{})
 			}
 			mach := interp.NewMachine(m, interp.Options{NumThreads: threads})
 			if _, err := mach.Run("seed"); err != nil {
@@ -400,11 +400,11 @@ void kernel(long lo, long hi) {
 `
 
 func TestOmpCapturesSharedScalars(t *testing.T) {
-	m, err := CompileSource(ompSharedScalarSrc, "test")
+	m, err := CompileSource(ompSharedScalarSrc, "test", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	passes.Optimize(m)
+	passes.Optimize(m, passes.RunConfig{})
 	mach := interp.NewMachine(m, interp.Options{NumThreads: 3})
 	if _, err := mach.Run("kernel", interp.IntV(8), interp.IntV(40)); err != nil {
 		t.Fatal(err)
@@ -449,7 +449,7 @@ func TestParseErrors(t *testing.T) {
 		"long f() { for (;;) {} break; }",
 	}
 	for _, src := range bad {
-		if _, err := CompileSource(src, "bad"); err == nil {
+		if _, err := CompileSource(src, "bad", nil); err == nil {
 			t.Errorf("CompileSource(%q) succeeded, want error", src)
 		}
 	}
@@ -468,7 +468,7 @@ void k() {
   }
 }
 `
-	if _, err := CompileSource(src, "bad"); err == nil {
+	if _, err := CompileSource(src, "bad", nil); err == nil {
 		t.Error("non-canonical omp for accepted")
 	}
 }
@@ -519,7 +519,7 @@ double dynsum() {
 `
 
 func TestDynamicScheduleLowering(t *testing.T) {
-	m, err := CompileSource(dynamicSrc, "dyn")
+	m, err := CompileSource(dynamicSrc, "dyn", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,11 +533,11 @@ func TestDynamicScheduleLowering(t *testing.T) {
 
 func TestDynamicScheduleExecution(t *testing.T) {
 	for _, threads := range []int{1, 3, 8} {
-		m, err := CompileSource(dynamicSrc, "dyn")
+		m, err := CompileSource(dynamicSrc, "dyn", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		passes.Optimize(m)
+		passes.Optimize(m, passes.RunConfig{})
 		mach := interp.NewMachine(m, interp.Options{NumThreads: threads})
 		if _, err := mach.Run("seed"); err != nil {
 			t.Fatal(err)
@@ -584,7 +584,7 @@ void k() {
   }
 }
 `
-	if _, err := CompileSource(src, "bad"); err == nil {
+	if _, err := CompileSource(src, "bad", nil); err == nil {
 		t.Error("schedule(dynamic) nowait accepted")
 	}
 }
@@ -605,7 +605,7 @@ long blowup(long n) {
 	if ret.I != 610 {
 		t.Errorf("fib(15) = %d, want 610", ret.I)
 	}
-	m, err := CompileSource(src, "rec")
+	m, err := CompileSource(src, "rec", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

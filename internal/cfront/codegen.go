@@ -9,7 +9,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Compile lowers a parsed C file to an IR module. Every scalar local and
+// compile lowers a parsed C file to an IR module. Every scalar local and
 // parameter is stack-allocated with a dbg.value declaration naming its
 // source variable, the pattern mem2reg later rewrites into per-value
 // debug intrinsics.
@@ -18,7 +18,7 @@ import (
 // pipeline): all integer types map to i64 and float maps to double; this
 // is the LP64 subset PolyBench exercises, and it eliminates conversion
 // noise that would otherwise dominate decompiled output.
-func Compile(file *cast.File, name string) (*ir.Module, error) {
+func compile(file *cast.File, name string) (*ir.Module, error) {
 	c := &compiler{
 		mod:   ir.NewModule(name),
 		file:  file,
@@ -33,14 +33,10 @@ func Compile(file *cast.File, name string) (*ir.Module, error) {
 	return c.mod, nil
 }
 
-// CompileSource parses and compiles C source text in one step.
-func CompileSource(src, name string) (*ir.Module, error) {
-	return CompileSourceCtx(src, name, nil)
-}
-
-// CompileSourceCtx is CompileSource with telemetry: the lex/parse and
-// IR-generation stages are recorded as spans on tc (nil disables).
-func CompileSourceCtx(src, name string, tc *telemetry.Ctx) (*ir.Module, error) {
+// CompileSource parses and compiles C source text in one step. The
+// lex/parse and IR-generation stages are recorded as spans on tc (nil
+// disables).
+func CompileSource(src, name string, tc *telemetry.Ctx) (*ir.Module, error) {
 	sp := tc.StartSpan(telemetry.CatStage, "cfront-parse", name)
 	f, err := ParseC(src)
 	sp.End()
@@ -48,7 +44,7 @@ func CompileSourceCtx(src, name string, tc *telemetry.Ctx) (*ir.Module, error) {
 		return nil, err
 	}
 	sp = tc.StartSpan(telemetry.CatStage, "cfront-codegen", name)
-	m, err := Compile(f, name)
+	m, err := compile(f, name)
 	sp.End()
 	return m, err
 }

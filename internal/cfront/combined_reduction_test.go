@@ -32,7 +32,7 @@ void kernel() {
   total = acc;
 }
 `
-	m, err := CompileSource(src, "combred")
+	m, err := CompileSource(src, "combred", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

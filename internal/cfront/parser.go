@@ -31,11 +31,15 @@ type cparser struct {
 	defines map[string]int64
 }
 
-func (p *cparser) tok() tk  { return p.toks[p.pos] }
-func (p *cparser) next() tk { t := p.toks[p.pos]; p.pos++; return t }
+// Token reads clamp at the trailing EOF token the lexer always appends,
+// so a parse that consumes EOF (truncated input such as "long") still
+// reads EOF, and its error reports a line instead of indexing past the
+// end.
+func (p *cparser) tok() tk  { return p.peek(0) }
+func (p *cparser) next() tk { t := p.tok(); p.pos++; return t }
 func (p *cparser) peek(n int) tk {
 	if p.pos+n >= len(p.toks) {
-		return tk{kind: tkEOF}
+		return p.toks[len(p.toks)-1]
 	}
 	return p.toks[p.pos+n]
 }

@@ -40,7 +40,7 @@ void kauto() {
 `
 
 func TestGuidedAutoLowering(t *testing.T) {
-	m, err := CompileSource(guidedAutoSrc, "ga")
+	m, err := CompileSource(guidedAutoSrc, "ga", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +56,11 @@ func TestGuidedAutoLowering(t *testing.T) {
 
 func TestGuidedAutoExecution(t *testing.T) {
 	for _, threads := range []int{1, 3, 8} {
-		m, err := CompileSource(guidedAutoSrc, "ga")
+		m, err := CompileSource(guidedAutoSrc, "ga", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		passes.Optimize(m)
+		passes.Optimize(m, passes.RunConfig{})
 		mach := interp.NewMachine(m, interp.Options{NumThreads: threads})
 		if _, err := mach.Run("seed"); err != nil {
 			t.Fatal(err)
@@ -118,7 +118,7 @@ void k() {
   }
 }
 `
-		_, err := CompileSource(src, "bad")
+		_, err := CompileSource(src, "bad", nil)
 		if err == nil {
 			t.Errorf("%s: %q accepted", c.name, c.clause)
 			continue
@@ -148,7 +148,7 @@ void k() {
   }
 }
 `
-		_, err := CompileSource(src, "bad")
+		_, err := CompileSource(src, "bad", nil)
 		if err == nil {
 			t.Errorf("schedule(%s) nowait accepted", sched)
 			continue

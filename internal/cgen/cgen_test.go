@@ -50,7 +50,7 @@ func TestGenerateVariety(t *testing.T) {
 func TestGeneratedProgramsCompile(t *testing.T) {
 	for seed := uint64(0); seed < 150; seed++ {
 		p := Generate(Default(seed))
-		m, err := cfront.CompileSource(p.Source, "gen")
+		m, err := cfront.CompileSource(p.Source, "gen", nil)
 		if err != nil {
 			t.Fatalf("seed %d does not compile: %v\n%s", seed, err, p.Source)
 		}

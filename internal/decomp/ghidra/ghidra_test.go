@@ -22,7 +22,7 @@ void kernel(long x) {
 `
 
 func TestStripRemovesDebugInfo(t *testing.T) {
-	m, err := cfront.CompileSource(src, "t")
+	m, err := cfront.CompileSource(src, "t", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestStripRemovesDebugInfo(t *testing.T) {
 }
 
 func TestGhidraStyle(t *testing.T) {
-	m, err := cfront.CompileSource(src, "t")
+	m, err := cfront.CompileSource(src, "t", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	passes.Optimize(m)
+	passes.Optimize(m, passes.RunConfig{})
 	parallel.Parallelize(m, parallel.Options{})
 	c := cast.Print(Decompile(m))
 

@@ -23,11 +23,11 @@ void kernel() {
 `
 
 func TestRellicStyle(t *testing.T) {
-	m, err := cfront.CompileSource(src, "t")
+	m, err := cfront.CompileSource(src, "t", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	passes.Optimize(m)
+	passes.Optimize(m, passes.RunConfig{})
 	parallel.Parallelize(m, parallel.Options{})
 	c := cast.Print(Decompile(m))
 
@@ -58,14 +58,14 @@ func TestRellicStyle(t *testing.T) {
 // The deliberate contrast of the paper's Figure 1: same IR, SPLENDID
 // output is pragma-based and for-looped while Rellic's is not.
 func TestContrastWithSplendid(t *testing.T) {
-	m, err := cfront.CompileSource(src, "t")
+	m, err := cfront.CompileSource(src, "t", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	passes.Optimize(m)
+	passes.Optimize(m, passes.RunConfig{})
 	parallel.Parallelize(m, parallel.Options{})
 	rellicC := cast.Print(Decompile(m))
-	res, err := splendid.Decompile(m, splendid.Full())
+	res, err := splendid.Decompile(m, splendid.Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,11 +79,11 @@ func TestContrastWithSplendid(t *testing.T) {
 }
 
 func TestDecompileFunction(t *testing.T) {
-	m, err := cfront.CompileSource(src, "t")
+	m, err := cfront.CompileSource(src, "t", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	passes.Optimize(m)
+	passes.Optimize(m, passes.RunConfig{})
 	fd := DecompileFunction(m.FuncByName("kernel"))
 	if fd.Name != "kernel" {
 		t.Errorf("name = %q", fd.Name)

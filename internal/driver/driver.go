@@ -130,9 +130,6 @@ func New(opts Options) *Session {
 // typed-nil source).
 func (s *Session) Recorder() *FlightRecorder { return s.rec }
 
-// RecentJobs snapshots the flight recorder (empty when disabled).
-func (s *Session) RecentJobs() JobsSnapshot { return s.rec.Snapshot() }
-
 // Metrics returns the session's metrics registry (possibly nil).
 func (s *Session) Metrics() *metrics.Registry { return s.opts.Metrics }
 
@@ -191,7 +188,7 @@ func (s *Session) Frontend(src, name string) (*ir.Module, error) {
 func (s *Session) frontend(src, name string, jb *jobBuilder) (*ir.Module, error) {
 	sp := s.startStage(jb, "frontend")
 	defer sp.end()
-	m, err := cfront.CompileSourceCtx(src, name, s.opts.Telemetry)
+	m, err := cfront.CompileSource(src, name, s.opts.Telemetry)
 	if err != nil {
 		return nil, err
 	}
@@ -210,16 +207,10 @@ func (s *Session) Optimize(m *ir.Module) error {
 func (s *Session) optimize(m *ir.Module, jb *jobBuilder) error {
 	sp := s.startStage(jb, "optimize")
 	defer sp.end()
-	if err := passes.OptimizeConfig(m, s.runConfig()); err != nil {
+	if err := passes.Optimize(m, s.runConfig()); err != nil {
 		return err
 	}
 	return s.verify(m, "optimize")
-}
-
-// RunPasses runs an ad-hoc pass pipeline on m under the session's
-// execution policy (cached analyses, worker pool, verify-each).
-func (s *Session) RunPasses(m *ir.Module, pipeline ...passes.Pass) (bool, error) {
-	return passes.RunPipelineConfig(m, s.runConfig(), pipeline...)
 }
 
 func (s *Session) runConfig() passes.RunConfig {
@@ -268,13 +259,9 @@ func (s *Session) Decompile(m *ir.Module, cfg splendid.Config) (*splendid.Result
 func (s *Session) decompile(m *ir.Module, cfg splendid.Config, jb *jobBuilder) (*splendid.Result, error) {
 	sp := s.startStage(jb, "decompile")
 	defer sp.end()
-	return splendid.DecompileOpts(m, cfg, splendid.Opts{
-		Telemetry:  s.opts.Telemetry,
-		Analyses:   analysis.NewManager(),
-		Workers:    s.jobs,
-		VerifyEach: s.opts.VerifyEach,
-		Metrics:    s.opts.Metrics,
-	})
+	rc := s.runConfig()
+	rc.Analyses = analysis.NewManager()
+	return splendid.Decompile(m, cfg, rc)
 }
 
 // DecompileVariant decompiles m under a named variant: the SPLENDID

@@ -247,7 +247,7 @@ func TestFlightRecorderDisabled(t *testing.T) {
 	if _, err := s.Execute(m, ExecOptions{Entry: "main"}); err != nil {
 		t.Fatal(err)
 	}
-	snap := s.RecentJobs()
+	snap := s.Recorder().Snapshot()
 	if snap.Capacity != 0 || snap.Recorded != 0 || len(snap.Jobs) != 0 {
 		t.Errorf("disabled recorder snapshot = %+v, want empty", snap)
 	}
@@ -271,7 +271,7 @@ func TestShardJobRecord(t *testing.T) {
 	bad := s.StartShardJob("shard1[50+50)")
 	bad.Finish(errInfra)
 
-	snap := s.RecentJobs()
+	snap := s.Recorder().Snapshot()
 	if len(snap.Jobs) != 2 {
 		t.Fatalf("retained %d jobs, want 2", len(snap.Jobs))
 	}
@@ -338,7 +338,7 @@ func TestExecuteRaceVerdictConflicts(t *testing.T) {
 	if _, err := s.Execute(m, ExecOptions{NumThreads: 4, CheckRaces: true}); err != nil {
 		t.Fatal(err)
 	}
-	snap := s.RecentJobs()
+	snap := s.Recorder().Snapshot()
 	if len(snap.Jobs) != 1 {
 		t.Fatalf("retained %d jobs, want 1", len(snap.Jobs))
 	}

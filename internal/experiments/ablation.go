@@ -53,7 +53,7 @@ func Ablation(cfg Config) ([]AblationRow, error) {
 		total := 0.0
 		count := 0
 		for _, b := range polybench.All() {
-			parIR, _, err := b.CompileParallelIRWith(s)
+			parIR, _, err := b.CompileParallelIR(s)
 			if err != nil {
 				return nil, err
 			}

@@ -37,7 +37,7 @@ type decompiled struct {
 // session's prefix memo, so the expensive compilations happen once no
 // matter how many tables and figures consume the result.
 func decompileAll(s *driver.Session, b *polybench.Benchmark) (*decompiled, error) {
-	parIR, _, err := b.CompileParallelIRWith(s)
+	parIR, _, err := b.CompileParallelIR(s)
 	if err != nil {
 		return nil, err
 	}

@@ -32,7 +32,7 @@ func Fig6(cfg Config) ([]Fig6Row, error) {
 	s := cfg.session()
 	var rows []Fig6Row
 	for _, b := range polybench.All() {
-		seqM, err := polybench.CompileVariantWith(s, b.Seq, b.Name)
+		seqM, err := polybench.CompileVariant(s, b.Seq, b.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -40,7 +40,7 @@ func Fig6(cfg Config) ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		parIR, _, err := b.CompileParallelIRWith(s)
+		parIR, _, err := b.CompileParallelIR(s)
 		if err != nil {
 			return nil, err
 		}
@@ -224,7 +224,7 @@ func Fig9(cfg Config) ([]Fig9Row, error) {
 		if b.Collab == "" {
 			continue
 		}
-		seqM, err := polybench.CompileVariantWith(s, b.Seq, b.Name)
+		seqM, err := polybench.CompileVariant(s, b.Seq, b.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +232,7 @@ func Fig9(cfg Config) ([]Fig9Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		manualM, err := polybench.CompileVariantWith(s, b.Manual, b.Name+".manual")
+		manualM, err := polybench.CompileVariant(s, b.Manual, b.Name+".manual")
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +252,7 @@ func Fig9(cfg Config) ([]Fig9Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		collabM, err := polybench.CompileVariantWith(s, b.Collab, b.Name+".collab")
+		collabM, err := polybench.CompileVariant(s, b.Collab, b.Name+".collab")
 		if err != nil {
 			return nil, err
 		}

@@ -60,7 +60,7 @@ func TestDecompiledGolden(t *testing.T) {
 	}
 	for _, sched := range polybench.ImbalancedSchedules {
 		b := polybench.ImbalancedKernel(sched)
-		m, err := polybench.CompileVariantWith(s, b.Seq, b.Name)
+		m, err := polybench.CompileVariant(s, b.Seq, b.Name)
 		if err != nil {
 			t.Fatal(err)
 		}

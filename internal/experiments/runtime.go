@@ -79,7 +79,7 @@ func RuntimeProfile(cfg Config) ([]RuntimeRow, error) {
 		}
 		mMini := m
 		if size.Factor() > 1 {
-			if mMini, _, err = b.CompileParallelIRWith(s); err != nil {
+			if mMini, _, err = b.CompileParallelIR(s); err != nil {
 				return nil, err
 			}
 		}
@@ -146,7 +146,7 @@ func ScheduleBalance(cfg Config) ([]ScheduleRow, error) {
 	s := cfg.session()
 	threads := cfg.threads()
 	seqB := polybench.ImbalancedKernel("")
-	seqM, err := polybench.CompileVariantWith(s, seqB.Seq, seqB.Name)
+	seqM, err := polybench.CompileVariant(s, seqB.Seq, seqB.Name)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +161,7 @@ func ScheduleBalance(cfg Config) ([]ScheduleRow, error) {
 	var rows []ScheduleRow
 	for _, sched := range polybench.ImbalancedSchedules {
 		b := polybench.ImbalancedKernel(sched)
-		m, err := polybench.CompileVariantWith(s, b.Seq, b.Name)
+		m, err := polybench.CompileVariant(s, b.Seq, b.Name)
 		if err != nil {
 			return nil, err
 		}

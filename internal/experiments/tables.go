@@ -103,7 +103,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 	s := cfg.session()
 	var rows []Table3Row
 	for _, b := range polybench.All() {
-		_, res, err := b.CompileParallelIRWith(s)
+		_, res, err := b.CompileParallelIR(s)
 		if err != nil {
 			return nil, err
 		}

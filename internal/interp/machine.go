@@ -186,26 +186,6 @@ func constValue(v ir.Value) Value {
 	return Value{K: KUndef}
 }
 
-// StaticOperand resolves an operand whose value is machine-independent:
-// constants and function references. Globals are per-machine (resolve
-// them through Machine.GlobalObj); SSA values are per-frame. Engines use
-// this to preresolve operands at lower time.
-func StaticOperand(v ir.Value) (Value, bool) {
-	switch x := v.(type) {
-	case *ir.ConstInt:
-		return IntV(x.V), true
-	case *ir.ConstFloat:
-		return FloatV(x.V), true
-	case *ir.ConstNull:
-		return PtrV(Pointer{}), true
-	case *ir.ConstUndef:
-		return Value{K: KUndef}, true
-	case *ir.Function:
-		return FuncV(x), true
-	}
-	return Value{}, false
-}
-
 // Output returns everything the program printed so far.
 func (m *Machine) Output() string {
 	m.outMu.Lock()

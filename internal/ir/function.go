@@ -113,16 +113,6 @@ func (f *Function) BlockByName(name string) *Block {
 	return nil
 }
 
-// ParamByName returns the parameter named name, or nil.
-func (f *Function) ParamByName(name string) *Param {
-	for _, p := range f.Params {
-		if p.Nam == name {
-			return p
-		}
-	}
-	return nil
-}
-
 // ReplaceAllUses substitutes new for old in every instruction operand of
 // the function.
 func (f *Function) ReplaceAllUses(old, new Value) {

@@ -93,21 +93,6 @@ func (t *BasicType) IsFloat() bool {
 	return t.Kind == KindF32 || t.Kind == KindF64
 }
 
-// Bits returns the bit width of an integer type, or 0 for others.
-func (t *BasicType) Bits() int {
-	switch t.Kind {
-	case KindI1:
-		return 1
-	case KindI8:
-		return 8
-	case KindI32:
-		return 32
-	case KindI64:
-		return 64
-	}
-	return 0
-}
-
 // PtrType is a typed pointer, e.g. "double*".
 type PtrType struct {
 	Elem Type

@@ -145,16 +145,6 @@ func (g *Global) Ident() string { return "@" + g.Nam }
 // Name returns the bare global name.
 func (g *Global) Name() string { return g.Nam }
 
-// IsConstant reports whether v is a constant operand (int, float, null,
-// undef, global address, or function address).
-func IsConstant(v Value) bool {
-	switch v.(type) {
-	case *ConstInt, *ConstFloat, *ConstNull, *ConstUndef, *Global, *Function:
-		return true
-	}
-	return false
-}
-
 // ValueString renders "type ident" for diagnostics.
 func ValueString(v Value) string {
 	if v == nil {

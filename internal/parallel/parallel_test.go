@@ -15,11 +15,11 @@ import (
 // returning the module and the parallelizer report.
 func pipeline(t *testing.T, src string) (*ir.Module, *Result) {
 	t.Helper()
-	m, err := cfront.CompileSource(src, "test")
+	m, err := cfront.CompileSource(src, "test", nil)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	passes.Optimize(m)
+	passes.Optimize(m, passes.RunConfig{})
 	res := Parallelize(m, Options{})
 	if err := m.Verify(); err != nil {
 		t.Fatalf("verify after parallelize: %v\n%s", err, m.Print())
@@ -119,7 +119,7 @@ func TestParallelizeJacobiStencil(t *testing.T) {
 	if res.Parallelized["kernel"] != 1 {
 		t.Fatalf("jacobi not parallelized (rejected=%d)\n%s", res.Rejected, m.Print())
 	}
-	seqM, _ := cfront.CompileSource(jacobiSrc, "seq")
+	seqM, _ := cfront.CompileSource(jacobiSrc, "seq", nil)
 	seqMach := runAll(t, seqM, 1, "seed", "kernel")
 	parMach := runAll(t, m, 6, "seed", "kernel")
 	want := seqMach.GlobalMem("B")
@@ -162,7 +162,7 @@ func TestParallelizeGemmOuterLoop(t *testing.T) {
 	if res.Parallelized["kernel"] < 1 {
 		t.Fatalf("gemm outer loop not parallelized (rejected=%d)\n%s", res.Rejected, m.Print())
 	}
-	seqM, _ := cfront.CompileSource(gemmLikeSrc, "seq")
+	seqM, _ := cfront.CompileSource(gemmLikeSrc, "seq", nil)
 	seqMach := runAll(t, seqM, 1, "seed", "kernel")
 	parMach := runAll(t, m, 4, "seed", "kernel")
 	want := seqMach.GlobalMem("C")
@@ -242,7 +242,7 @@ func TestScalarReductionParallelized(t *testing.T) {
 		t.Errorf("no atomic combine emitted:\n%s", text)
 	}
 
-	seqM, _ := cfront.CompileSource(reductionSrc, "seq")
+	seqM, _ := cfront.CompileSource(reductionSrc, "seq", nil)
 	seqMach := runAll(t, seqM, 1, "seed")
 	parMach := runAll(t, m, 6, "seed")
 
@@ -357,7 +357,7 @@ func TestAliasVersioning(t *testing.T) {
 	}
 
 	// Reference: sequential semantics for both call patterns.
-	ref, _ := cfront.CompileSource(mayAliasSrc, "seq")
+	ref, _ := cfront.CompileSource(mayAliasSrc, "seq", nil)
 
 	for _, entry := range []string{"runDistinct", "runAliased"} {
 		seqMach := runAll(t, ref, 1, "seed", entry)

@@ -3,7 +3,6 @@ package passes
 import (
 	"repro/internal/analysis"
 	"repro/internal/ir"
-	"repro/internal/telemetry"
 )
 
 // deadPhi reports whether in is a phi with no non-debug, non-self uses
@@ -229,22 +228,3 @@ func DistributeLoop(f *ir.Function, l *analysis.Loop) bool {
 	DCE(f)
 	return true
 }
-
-// DistributePass is the named loop-distribution pass: it attempts to
-// split every innermost loop into per-array loops (Figure 3's second
-// transformation).
-var DistributePass = NamedAM("distribute", false, func(f *ir.Function, am *analysis.Manager, tc *telemetry.Ctx) bool {
-	li := am.Loops(f)
-	changed := false
-	for _, l := range li.Innermost() {
-		header := l.Header.Nam
-		if DistributeLoop(f, l) {
-			changed = true
-			tc.Count("distribute.loops", 1)
-			tc.Remarkf("distribute", f.Nam, header, 2,
-				"distributed loop at %s into two loops partitioned by stored array (Figure 3)", header)
-			break // loop structure changed; recompute before continuing
-		}
-	}
-	return changed
-})

@@ -2,7 +2,6 @@ package passes
 
 import (
 	"repro/internal/ir"
-	"repro/internal/telemetry"
 )
 
 // InlineCall replaces a direct call to a defined function with the callee
@@ -125,18 +124,4 @@ func InlineAll(f *ir.Function, want func(*ir.Function) bool) bool {
 		changed = true
 	}
 	return changed
-}
-
-// InlinePass returns the named inliner restricted to callees satisfying
-// want (the decompiler's Loop Inliner uses want = "is outlined region").
-func InlinePass(want func(*ir.Function) bool) Pass {
-	return Named("inline", func(f *ir.Function, tc *telemetry.Ctx) bool {
-		changed := InlineAll(f, want)
-		if changed {
-			tc.Count("inline.inlined", 1)
-			tc.Remarkf("inline", f.Nam, "", 1,
-				"inlined call(s) into @%s, exposing caller debug metadata to the callee body (§4.1.2)", f.Nam)
-		}
-		return changed
-	})
 }

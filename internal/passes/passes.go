@@ -1,7 +1,9 @@
 // Package passes implements the mid-end optimization pipeline the paper's
 // input IR is shaped by: mem2reg (SSA construction), CFG simplification,
 // constant folding, dead-code elimination, loop-invariant code motion,
-// loop rotation, loop unrolling, loop distribution, and function inlining.
+// and loop rotation, plus the loop unrolling, loop distribution, and
+// call inlining transformations the decompiler and the Figure 3 case
+// study apply directly.
 //
 // The pipeline ordering mirrors LLVM -O2 for the passes that matter to
 // decompilation: mem2reg splits source variables into phi-connected
@@ -18,7 +20,7 @@ package passes
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/ir"
@@ -26,145 +28,45 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Pass is a named function transformation: Run transforms one function,
-// reports whether it changed it, and may record counters and remarks on
-// tc (which is nil when telemetry is disabled).
-type Pass interface {
-	Name() string
-	Run(f *ir.Function, tc *telemetry.Ctx) bool
+// Pass is a named function transformation. Run transforms one function
+// and reports whether it changed it; it may query cached dominator trees
+// and loop forests through am and record counters and remarks on tc
+// (either is nil when caching or telemetry is disabled).
+//
+// PreservesCFG declares that Run only adds, removes, or moves
+// instructions — never blocks or edges — so RunPipeline keeps the
+// function's CFG analyses (rekeyed to the new content hash) when Run
+// changes it. Declaring PreservesCFG for a pass that restructures the CFG
+// is a correctness bug.
+type Pass struct {
+	Name         string
+	PreservesCFG bool
+	Run          func(f *ir.Function, am *analysis.Manager, tc *telemetry.Ctx) bool
 }
 
-// FuncPass is the legacy anonymous pass shape. It implements Pass (with
-// the name "anonymous"), so closures still drop into pipelines; prefer
-// Named for anything that should be visible in traces.
-type FuncPass func(f *ir.Function) bool
-
-// Name implements Pass.
-func (p FuncPass) Name() string { return "anonymous" }
-
-// Run implements Pass, discarding the telemetry context.
-func (p FuncPass) Run(f *ir.Function, _ *telemetry.Ctx) bool { return p(f) }
-
-// namedPass is the standard Pass implementation. Passes created with
-// NamedAM additionally consume a *analysis.Manager and declare whether
-// they preserve the CFG, which drives cache invalidation in
-// RunPipelineConfig.
-type namedPass struct {
-	name         string
-	run          func(*ir.Function, *telemetry.Ctx) bool
-	runAM        func(*ir.Function, *analysis.Manager, *telemetry.Ctx) bool
-	preservesCFG bool
-}
-
-func (p namedPass) Name() string { return p.name }
-func (p namedPass) Run(f *ir.Function, tc *telemetry.Ctx) bool {
-	if p.runAM != nil {
-		return p.runAM(f, nil, tc)
-	}
-	return p.run(f, tc)
-}
-
-// Named wraps run as a Pass visible under name in traces and timing
-// tables. A Named pass declares nothing about the CFG, so pipelines
-// conservatively invalidate all cached analyses when it reports a change.
-func Named(name string, run func(*ir.Function, *telemetry.Ctx) bool) Pass {
-	return namedPass{name: name, run: run}
-}
-
-// NamedAM wraps an analysis-aware pass: run receives the pipeline's
-// analysis manager (nil outside a managed pipeline) and queries cached
-// dominator trees and loop forests through it instead of recomputing.
-// preservesCFG declares the pass only adds, removes, or moves
-// instructions — never blocks or edges — so a managed pipeline keeps its
-// CFG analyses (rekeyed to the new content hash) when the pass changes
-// the function. Declaring preservesCFG for a pass that restructures the
-// CFG is a correctness bug.
-func NamedAM(name string, preservesCFG bool, run func(*ir.Function, *analysis.Manager, *telemetry.Ctx) bool) Pass {
-	return namedPass{name: name, runAM: run, preservesCFG: preservesCFG}
-}
-
-// runWith invokes p on f, handing analysis-aware passes the manager.
-func runWith(p Pass, f *ir.Function, am *analysis.Manager, tc *telemetry.Ctx) bool {
-	if np, ok := p.(namedPass); ok && np.runAM != nil {
-		return np.runAM(f, am, tc)
-	}
-	return p.Run(f, tc)
-}
-
-// preservesCFG reports p's declared CFG behaviour (false for passes that
-// declared nothing).
-func preservesCFG(p Pass) bool {
-	np, ok := p.(namedPass)
-	return ok && np.preservesCFG
-}
-
-// The standard passes, as named Pass values for pipeline construction.
-// mem2reg, constfold, dce, and licm only add, remove, or move
-// instructions; simplifycfg and rotate restructure the control-flow
-// graph.
+// The standard passes. mem2reg, constfold, dce, and licm only add,
+// remove, or move instructions; simplifycfg and rotate restructure the
+// control-flow graph.
 var (
-	Mem2RegPass     = NamedAM("mem2reg", true, mem2reg)
-	SimplifyCFGPass = NamedAM("simplifycfg", false, func(f *ir.Function, _ *analysis.Manager, tc *telemetry.Ctx) bool {
+	Mem2RegPass     = Pass{Name: "mem2reg", PreservesCFG: true, Run: mem2reg}
+	SimplifyCFGPass = Pass{Name: "simplifycfg", Run: func(f *ir.Function, _ *analysis.Manager, tc *telemetry.Ctx) bool {
 		return simplifyCFG(f, tc)
-	})
-	ConstFoldPass = NamedAM("constfold", true, func(f *ir.Function, _ *analysis.Manager, tc *telemetry.Ctx) bool {
+	}}
+	ConstFoldPass = Pass{Name: "constfold", PreservesCFG: true, Run: func(f *ir.Function, _ *analysis.Manager, tc *telemetry.Ctx) bool {
 		return constFold(f, tc)
-	})
-	DCEPass = NamedAM("dce", true, func(f *ir.Function, _ *analysis.Manager, tc *telemetry.Ctx) bool {
+	}}
+	DCEPass = Pass{Name: "dce", PreservesCFG: true, Run: func(f *ir.Function, _ *analysis.Manager, tc *telemetry.Ctx) bool {
 		return dce(f, tc)
-	})
-	LICMPass       = NamedAM("licm", true, licm)
-	LoopRotatePass = NamedAM("rotate", false, loopRotate)
+	}}
+	LICMPass       = Pass{Name: "licm", PreservesCFG: true, Run: licm}
+	LoopRotatePass = Pass{Name: "rotate", Run: loopRotate}
 )
 
-// RunPipeline applies each pass to every defined function in m, in order,
-// without telemetry. It returns whether any pass changed anything.
-func RunPipeline(m *ir.Module, pipeline ...Pass) bool {
-	return RunPipelineCtx(m, nil, pipeline...)
-}
-
-// RunPipelineCtx is RunPipeline with observation: each pass × function
-// execution is recorded as a telemetry span carrying the function's
-// instruction-count delta, and changed functions are dumped to the
-// context's -print-changed sink. The defined-function set is computed
-// once, and iteration follows m.Funcs order, so successive runs over the
-// same module produce identical traces.
-func RunPipelineCtx(m *ir.Module, tc *telemetry.Ctx, pipeline ...Pass) bool {
-	// Hoist the declaration filter out of the pass loop; m.Funcs is a
-	// slice, so this order is deterministic run-to-run.
-	fns := make([]*ir.Function, 0, len(m.Funcs))
-	for _, f := range m.Funcs {
-		if !f.IsDecl() {
-			fns = append(fns, f)
-		}
-	}
-	changed := false
-	for _, p := range pipeline {
-		for _, f := range fns {
-			before := 0
-			if tc.Enabled() {
-				before = f.NumInstrs()
-			}
-			sp := tc.StartPass(p.Name(), f.Nam)
-			c := p.Run(f, tc)
-			if tc.Enabled() {
-				sp.EndPass(f.NumInstrs()-before, c)
-			}
-			if c {
-				changed = true
-				if w := tc.PrintChangedWriter(); w != nil {
-					fmt.Fprintf(w, "*** IR after %s on @%s ***\n%s\n", p.Name(), f.Nam, f.String())
-				}
-			}
-		}
-	}
-	return changed
-}
-
-// RunConfig configures a managed pipeline execution.
+// RunConfig configures a pipeline execution. The zero value is serial,
+// uncached, and unobserved.
 type RunConfig struct {
 	// Analyses is the pipeline's analysis cache. Nil disables caching:
-	// every pass computes its analyses fresh, as before.
+	// every pass computes its analyses fresh.
 	Analyses *analysis.Manager
 	// Telemetry receives per-pass spans, counters, and remarks. Nil
 	// disables collection.
@@ -173,8 +75,8 @@ type RunConfig struct {
 	// aborts the pipeline with an error naming the offending pass.
 	VerifyEach bool
 	// Workers is the function-level parallelism degree: 0 or 1 runs
-	// serially in m.Funcs order; >1 schedules functions across a worker
-	// pool in bottom-up call-graph SCC order.
+	// serially; >1 schedules functions across a worker pool. Both follow
+	// bottom-up call-graph SCC order.
 	Workers int
 	// Metrics receives scheduler counters and histograms
 	// (splendid_sched_*) from every pipeline run. Nil disables them.
@@ -182,70 +84,57 @@ type RunConfig struct {
 }
 
 // runOnePass executes p on f with span bookkeeping, -print-changed
-// dumping, analysis-cache invalidation, and optional verification. It is
-// the shared per-(pass, function) step of every pipeline entry point.
+// dumping, analysis-cache invalidation, and optional verification.
 func runOnePass(p Pass, f *ir.Function, cfg RunConfig) (bool, error) {
 	tc := cfg.Telemetry
 	before := 0
 	if tc.Enabled() {
 		before = f.NumInstrs()
 	}
-	sp := tc.StartPass(p.Name(), f.Nam)
-	c := runWith(p, f, cfg.Analyses, tc)
+	sp := tc.StartPass(p.Name, f.Nam)
+	c := p.Run(f, cfg.Analyses, tc)
 	if tc.Enabled() {
 		sp.EndPass(f.NumInstrs()-before, c)
 	}
 	if c {
-		if preservesCFG(p) {
+		if p.PreservesCFG {
 			cfg.Analyses.Rekey(f)
 		} else {
 			cfg.Analyses.Invalidate(f)
 		}
 		if w := tc.PrintChangedWriter(); w != nil {
-			fmt.Fprintf(w, "*** IR after %s on @%s ***\n%s\n", p.Name(), f.Nam, f.String())
+			fmt.Fprintf(w, "*** IR after %s on @%s ***\n%s\n", p.Name, f.Nam, f.String())
 		}
 	}
 	if cfg.VerifyEach {
 		if err := f.Verify(); err != nil {
-			return c, fmt.Errorf("verify-each: pass %q broke @%s: %w", p.Name(), f.Nam, err)
+			return c, fmt.Errorf("verify-each: pass %q broke @%s: %w", p.Name, f.Nam, err)
 		}
 	}
 	return c, nil
 }
 
-// RunPipelineFn runs the pipeline on a single function under cfg,
-// stopping at the first verify-each failure.
-func RunPipelineFn(f *ir.Function, cfg RunConfig, pipeline ...Pass) (bool, error) {
-	changed := false
-	for _, p := range pipeline {
-		c, err := runOnePass(p, f, cfg)
-		changed = changed || c
-		if err != nil {
-			return changed, err
+// RunPipeline applies the pipeline to every defined function of m under
+// cfg and reports whether any pass changed anything. Execution is
+// function-major — each function runs the whole pipeline, so a worker
+// owns a function end to end — and a function stops at its first
+// verify-each failure. All passes are function-local, so the resulting
+// IR is byte-identical at every worker count.
+func RunPipeline(m *ir.Module, cfg RunConfig, pipeline ...Pass) (bool, error) {
+	var changed atomic.Bool
+	err := ScheduleFunctions(m, cfg.Workers, func(f *ir.Function) error {
+		for _, p := range pipeline {
+			c, err := runOnePass(p, f, cfg)
+			if c {
+				changed.Store(true)
+			}
+			if err != nil {
+				return err
+			}
 		}
-	}
-	return changed, nil
-}
-
-// RunPipelineConfig applies the pipeline to every defined function of m
-// under cfg: function-major (each function runs the whole pipeline, so a
-// worker owns a function end to end), optionally across a worker pool in
-// bottom-up SCC order. All passes are function-local, so function-major
-// execution — serial or parallel — yields IR byte-identical to the
-// pass-major RunPipelineCtx order.
-func RunPipelineConfig(m *ir.Module, cfg RunConfig, pipeline ...Pass) (bool, error) {
-	var mu sync.Mutex
-	changed := false
-	err := ScheduleFunctionsMetered(m, cfg.Workers, func(f *ir.Function) error {
-		c, err := RunPipelineFn(f, cfg, pipeline...)
-		if c {
-			mu.Lock()
-			changed = true
-			mu.Unlock()
-		}
-		return err
+		return nil
 	}, NewSchedMetrics(cfg.Metrics))
-	return changed, err
+	return changed.Load(), err
 }
 
 // O2 returns the standard optimization pipeline applied to benchmark IR
@@ -266,45 +155,24 @@ func O2() []Pass {
 	}
 }
 
-// Optimize runs the O2 pipeline on m until it reaches a fixed point or
-// maxIter iterations.
-func Optimize(m *ir.Module) { OptimizeCtx(m, nil) }
+// o2MaxIterations caps the O2 fixed point.
+const o2MaxIterations = 3
 
-// OptimizeCtx is Optimize with telemetry: the whole run and each
-// fixed-point iteration appear as stage spans wrapping the per-pass
-// spans RunPipelineCtx records.
-func OptimizeCtx(m *ir.Module, tc *telemetry.Ctx) {
-	sp := tc.StartStage("optimize")
-	defer sp.End()
-	for i := 0; i < 3; i++ {
-		it := tc.StartSpan(telemetry.CatStage, "O2-iteration", fmt.Sprintf("%d", i))
-		c := RunPipelineCtx(m, tc, O2()...)
-		it.End()
-		if !c {
-			break
-		}
-	}
-}
-
-// OptimizeConfig runs the O2 fixed point under cfg: the analysis cache
-// carries dominator trees and loop forests across passes and iterations,
-// verify-each catches the first pass that breaks the IR, and Workers>1
-// optimizes functions concurrently. Each fixed-point iteration is a
-// module-level round (identical in structure to OptimizeCtx), so the
-// result is byte-identical to the serial pipeline.
-func OptimizeConfig(m *ir.Module, cfg RunConfig) error {
+// Optimize runs the O2 pipeline on m under cfg until an iteration changes
+// nothing, or for at most o2MaxIterations iterations. The whole run and
+// each iteration are recorded as stage spans wrapping the per-pass spans;
+// the analysis cache, if any, carries dominator trees and loop forests
+// across passes and iterations.
+func Optimize(m *ir.Module, cfg RunConfig) error {
 	tc := cfg.Telemetry
 	sp := tc.StartStage("optimize")
 	defer sp.End()
-	for i := 0; i < 3; i++ {
+	for i := 0; i < o2MaxIterations; i++ {
 		it := tc.StartSpan(telemetry.CatStage, "O2-iteration", fmt.Sprintf("%d", i))
-		c, err := RunPipelineConfig(m, cfg, O2()...)
+		c, err := RunPipeline(m, cfg, O2()...)
 		it.End()
-		if err != nil {
+		if err != nil || !c {
 			return err
-		}
-		if !c {
-			break
 		}
 	}
 	return nil

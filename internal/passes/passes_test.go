@@ -410,7 +410,7 @@ func TestLoopRotatePreservesReductionSemantics(t *testing.T) {
 
 func TestO2PipelineOnAllocaProgram(t *testing.T) {
 	m := ir.MustParse(allocaProgram)
-	Optimize(m)
+	Optimize(m, RunConfig{})
 	if err := m.Verify(); err != nil {
 		t.Fatalf("verify after O2: %v\n%s", err, m.Print())
 	}

@@ -68,17 +68,13 @@ func (sm *SchedMetrics) queueAdd(d int64) {
 // count and interleaving. Errors are collected per SCC and the first one
 // in SCC order is returned, regardless of which worker hit it first; all
 // scheduled work still runs to completion.
-func ScheduleFunctions(m *ir.Module, workers int, work func(*ir.Function) error) error {
-	return ScheduleFunctionsMetered(m, workers, work, nil)
-}
-
-// ScheduleFunctionsMetered is ScheduleFunctions with scheduler metrics:
-// each dispatched SCC and function counts once, the runnable-queue gauge
-// tracks SCCs ready but not yet claimed by a worker, and each pool
-// worker's busy/wall ratio is observed at pool shutdown. sm is typically
-// shared across many schedules (one per driver session); nil records
-// nothing and adds no overhead.
-func ScheduleFunctionsMetered(m *ir.Module, workers int, work func(*ir.Function) error, sm *SchedMetrics) error {
+//
+// sm records scheduler metrics: each dispatched SCC and function counts
+// once, the runnable-queue gauge tracks SCCs ready but not yet claimed by
+// a worker, and each pool worker's busy/wall ratio is observed at pool
+// shutdown. sm is typically shared across many schedules (one per driver
+// session); nil records nothing and adds no overhead.
+func ScheduleFunctions(m *ir.Module, workers int, work func(*ir.Function) error, sm *SchedMetrics) error {
 	sccs := analysis.BottomUpSCCs(m)
 	if workers > len(sccs) {
 		workers = len(sccs)

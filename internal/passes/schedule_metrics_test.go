@@ -25,10 +25,10 @@ entry:
 }
 `
 
-// TestScheduleFunctionsMetered checks the scheduler feeds the registry in
+// TestScheduleFunctionsMetrics checks the scheduler feeds the registry in
 // both modes: SCC/function counts always, queue depth settling back to
 // zero and worker utilization observed only for the parallel pool.
-func TestScheduleFunctionsMetered(t *testing.T) {
+func TestScheduleFunctionsMetrics(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		m, err := ir.Parse(schedMetricsSrc)
 		if err != nil {
@@ -37,7 +37,7 @@ func TestScheduleFunctionsMetered(t *testing.T) {
 		reg := metrics.NewRegistry()
 		sm := passes.NewSchedMetrics(reg)
 		ran := 0
-		err = passes.ScheduleFunctionsMetered(m, workers, func(f *ir.Function) error {
+		err = passes.ScheduleFunctions(m, workers, func(f *ir.Function) error {
 			ran++
 			return nil
 		}, sm)
@@ -63,15 +63,15 @@ func TestScheduleFunctionsMetered(t *testing.T) {
 	}
 }
 
-// TestScheduleFunctionsMeteredNil: a nil SchedMetrics must behave
-// exactly like the unmetered entry point.
-func TestScheduleFunctionsMeteredNil(t *testing.T) {
+// TestScheduleFunctionsNilMetrics: a nil SchedMetrics records nothing
+// and the schedule still runs every function.
+func TestScheduleFunctionsNilMetrics(t *testing.T) {
 	m, err := ir.Parse(schedMetricsSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ran := 0
-	if err := passes.ScheduleFunctionsMetered(m, 2, func(f *ir.Function) error {
+	if err := passes.ScheduleFunctions(m, 2, func(f *ir.Function) error {
 		ran++
 		return nil
 	}, nil); err != nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cfront"
 	"repro/internal/ir"
 	"repro/internal/passes"
+	"repro/internal/telemetry"
 )
 
 const sccSrc = `
@@ -26,7 +27,7 @@ long top(long n) {
 
 func compileSCC(t *testing.T) *ir.Module {
 	t.Helper()
-	m, err := cfront.CompileSource(sccSrc, "sched-test")
+	m, err := cfront.CompileSource(sccSrc, "sched-test", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestScheduleFunctionsBottomUp(t *testing.T) {
 			}
 			done[f.Nam] = true
 			return nil
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -79,15 +80,15 @@ func checkDone(done map[string]bool, names ...string) []string {
 	return missing
 }
 
-// TestRunPipelineConfigMatchesSerial optimizes two copies of one module —
-// serial without a cache, parallel with one — and requires byte-identical
-// printed IR.
-func TestRunPipelineConfigMatchesSerial(t *testing.T) {
+// TestRunPipelineMatchesSerial optimizes two copies of one module —
+// serial without a cache, on four workers with one — and requires
+// byte-identical printed IR.
+func TestRunPipelineMatchesSerial(t *testing.T) {
 	serial := compileSCC(t)
 	parallel := compileSCC(t)
 
-	passes.Optimize(serial)
-	if err := passes.OptimizeConfig(parallel, passes.RunConfig{
+	passes.Optimize(serial, passes.RunConfig{})
+	if err := passes.Optimize(parallel, passes.RunConfig{
 		Analyses: analysis.NewManager(),
 		Workers:  4,
 	}); err != nil {
@@ -102,17 +103,17 @@ func TestRunPipelineConfigMatchesSerial(t *testing.T) {
 // checks the pipeline aborts with the pass's name in the error.
 func TestVerifyEachNamesOffendingPass(t *testing.T) {
 	m := compileSCC(t)
-	bad := passes.FuncPass(func(f *ir.Function) bool {
+	bad := passes.Pass{Name: "corrupt", Run: func(f *ir.Function, _ *analysis.Manager, _ *telemetry.Ctx) bool {
 		// Drop the terminator of the entry block: invalid IR.
 		e := f.Entry()
 		e.Instrs = e.Instrs[:len(e.Instrs)-1]
 		return true
-	})
-	_, err := passes.RunPipelineConfig(m, passes.RunConfig{VerifyEach: true}, passes.Mem2RegPass, bad)
+	}}
+	_, err := passes.RunPipeline(m, passes.RunConfig{VerifyEach: true}, passes.Mem2RegPass, bad)
 	if err == nil {
 		t.Fatal("verify-each accepted IR with a missing terminator")
 	}
-	if !strings.Contains(err.Error(), "anonymous") {
+	if !strings.Contains(err.Error(), `"corrupt"`) {
 		t.Fatalf("error does not name the offending pass: %v", err)
 	}
 }
@@ -121,7 +122,7 @@ func TestVerifyEachNamesOffendingPass(t *testing.T) {
 // after every pass; the standard passes must never produce invalid IR.
 func TestVerifyEachCleanPipeline(t *testing.T) {
 	m := compileSCC(t)
-	if err := passes.OptimizeConfig(m, passes.RunConfig{
+	if err := passes.Optimize(m, passes.RunConfig{
 		Analyses:   analysis.NewManager(),
 		VerifyEach: true,
 	}); err != nil {
@@ -134,7 +135,7 @@ func TestVerifyEachCleanPipeline(t *testing.T) {
 func TestAnalysisCacheHits(t *testing.T) {
 	m := compileSCC(t)
 	am := analysis.NewManager()
-	if err := passes.OptimizeConfig(m, passes.RunConfig{Analyses: am}); err != nil {
+	if err := passes.Optimize(m, passes.RunConfig{Analyses: am}); err != nil {
 		t.Fatal(err)
 	}
 	st := am.Stats()

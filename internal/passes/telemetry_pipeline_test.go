@@ -25,16 +25,16 @@ long kernel(long n) {
 // module and checks the recorded trace: within each fixed-point iteration,
 // every pipeline slot appears exactly once, in pipeline order.
 func TestO2TraceOnePassPerIteration(t *testing.T) {
-	m, err := cfront.CompileSource(loopSrc, "trace-test")
+	m, err := cfront.CompileSource(loopSrc, "trace-test", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tc := telemetry.New()
-	passes.OptimizeCtx(m, tc)
+	passes.Optimize(m, passes.RunConfig{Telemetry: tc})
 
 	var want []string
 	for _, p := range passes.O2() {
-		want = append(want, p.Name())
+		want = append(want, p.Name)
 	}
 
 	// Pass spans are leaves, so completion order is execution order.
@@ -102,12 +102,12 @@ func TestO2TraceOnePassPerIteration(t *testing.T) {
 func TestPolyBenchRemarks(t *testing.T) {
 	seen := map[string]bool{}
 	for _, b := range polybench.All() {
-		m, err := cfront.CompileSource(b.Seq, b.Name)
+		m, err := cfront.CompileSource(b.Seq, b.Name, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
 		tc := telemetry.New()
-		passes.OptimizeCtx(m, tc)
+		passes.Optimize(m, passes.RunConfig{Telemetry: tc})
 		for _, r := range tc.Remarks() {
 			seen[r.Pass] = true
 			if r.Message == "" || r.Function == "" {

@@ -3,7 +3,6 @@ package passes
 import (
 	"repro/internal/analysis"
 	"repro/internal/ir"
-	"repro/internal/telemetry"
 )
 
 // UnrollLoop unrolls a counted, non-rotated loop by the given factor,
@@ -144,32 +143,4 @@ func UnrollLoop(f *ir.Function, l *analysis.Loop, factor int) bool {
 		}
 	}
 	return true
-}
-
-// UnrollInnermost unrolls every eligible innermost loop of f by factor.
-func UnrollInnermost(f *ir.Function, factor int) bool {
-	return unrollInnermost(f, factor, nil, nil)
-}
-
-func unrollInnermost(f *ir.Function, factor int, am *analysis.Manager, tc *telemetry.Ctx) bool {
-	li := am.Loops(f)
-	changed := false
-	for _, l := range li.Innermost() {
-		header := l.Header.Nam
-		if UnrollLoop(f, l, factor) {
-			changed = true
-			tc.Count("unroll.loops", 1)
-			tc.Remarkf("unroll", f.Nam, header, factor,
-				"unrolled counted loop at %s by factor %d, replicating the body and multiplying the step (Figure 3)",
-				header, factor)
-		}
-	}
-	return changed
-}
-
-// UnrollPass returns the named unroll pass for the given factor.
-func UnrollPass(factor int) Pass {
-	return NamedAM("unroll", false, func(f *ir.Function, am *analysis.Manager, tc *telemetry.Ctx) bool {
-		return unrollInnermost(f, factor, am, tc)
-	})
 }

@@ -21,7 +21,7 @@ func TestEngineDeterminism(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			m, _, err := b.CompileParallelIRWith(s)
+			m, _, err := b.CompileParallelIR(s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func TestEngineDeterminismSchedules(t *testing.T) {
 	for _, sched := range ImbalancedSchedules {
 		b := ImbalancedKernel(sched)
 		t.Run(b.Name, func(t *testing.T) {
-			m, err := CompileVariantWith(s, b.Seq, b.Name)
+			m, err := CompileVariant(s, b.Seq, b.Name)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,15 +42,15 @@ func usesAtomicCombine(m *ir.Module) bool {
 // combines must not depend on arrival order).
 func TestGoldenDeterminismAcrossThreadCounts(t *testing.T) {
 	for _, b := range All() {
-		m, _, err := b.CompileParallelIR()
+		m, _, err := b.CompileParallelIR(testSession)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		one, err := b.Run(m, 1)
+		one, err := b.RunWith(m, interp.Options{NumThreads: 1})
 		if err != nil {
 			t.Fatalf("%s threads=1: %v", b.Name, err)
 		}
-		eight, err := b.Run(m, 8)
+		eight, err := b.RunWith(m, interp.Options{NumThreads: 8})
 		if err != nil {
 			t.Fatalf("%s threads=8: %v", b.Name, err)
 		}
@@ -97,7 +97,7 @@ func TestGoldenDeterminismReduction(t *testing.T) {
 		RunFuncs: []string{"init", "kernel_sum"},
 		Outputs:  []string{"Sum"},
 	}
-	m, res, err := defaultSession.ParallelIR(red.Name, reductionSource)
+	m, res, err := testSession.ParallelIR(red.Name, reductionSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestGoldenDeterminismReduction(t *testing.T) {
 	if !usesAtomicCombine(m) {
 		t.Fatal("parallelized reduction does not call an atomic combiner; golden lost its IsAtomicCombine coverage")
 	}
-	one, err := red.Run(m, 1)
+	one, err := red.RunWith(m, interp.Options{NumThreads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestGoldenDeterminismReduction(t *testing.T) {
 func TestStaticDOALLsRunClean(t *testing.T) {
 	checkedRegions := int64(0)
 	for _, b := range All() {
-		m, res, err := b.CompileParallelIR()
+		m, res, err := b.CompileParallelIR(testSession)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
@@ -167,7 +167,7 @@ func TestStaticDOALLsRunClean(t *testing.T) {
 // totals must cover the iteration spaces consistently across threads.
 func TestProfiledSuiteRun(t *testing.T) {
 	b := All()[0]
-	m, _, err := b.CompileParallelIR()
+	m, _, err := b.CompileParallelIR(testSession)
 	if err != nil {
 		t.Fatal(err)
 	}

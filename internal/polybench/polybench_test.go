@@ -3,8 +3,15 @@ package polybench
 import (
 	"testing"
 
+	"repro/internal/driver"
+	"repro/internal/interp"
+	"repro/internal/passes"
 	"repro/internal/splendid"
 )
+
+// testSession is shared by the package's tests: its memo compiles each
+// benchmark variant once however many tests ask for it.
+var testSession = driver.New(driver.Options{})
 
 func TestRegistryComplete(t *testing.T) {
 	if len(All()) != 16 {
@@ -55,7 +62,7 @@ func TestAllVariantsCompile(t *testing.T) {
 			if v.src == "" {
 				continue
 			}
-			if _, err := CompileVariant(v.src, b.Name+"/"+v.tag); err != nil {
+			if _, err := CompileVariant(testSession, v.src, b.Name+"/"+v.tag); err != nil {
 				t.Errorf("%s %s: %v", b.Name, v.tag, err)
 			}
 		}
@@ -67,11 +74,11 @@ func TestAllVariantsCompile(t *testing.T) {
 // parallel structure, never in arithmetic).
 func TestVariantsAgreeSequentially(t *testing.T) {
 	for _, b := range All() {
-		seqM, err := CompileVariant(b.Seq, b.Name)
+		seqM, err := CompileVariant(testSession, b.Seq, b.Name)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		ref, err := b.Run(seqM, 1)
+		ref, err := b.RunWith(seqM, interp.Options{NumThreads: 1})
 		if err != nil {
 			t.Fatalf("%s seq: %v", b.Name, err)
 		}
@@ -81,11 +88,11 @@ func TestVariantsAgreeSequentially(t *testing.T) {
 			if v.src == "" {
 				continue
 			}
-			m, err := CompileVariant(v.src, b.Name+"/"+v.tag)
+			m, err := CompileVariant(testSession, v.src, b.Name+"/"+v.tag)
 			if err != nil {
 				t.Fatalf("%s %s: %v", b.Name, v.tag, err)
 			}
-			mach, err := b.Run(m, 1)
+			mach, err := b.RunWith(m, interp.Options{NumThreads: 1})
 			if err != nil {
 				t.Fatalf("%s %s run: %v", b.Name, v.tag, err)
 			}
@@ -100,11 +107,11 @@ func TestVariantsAgreeSequentially(t *testing.T) {
 // with several threads against the sequential result.
 func TestParallelCorrectness(t *testing.T) {
 	for _, b := range All() {
-		seqM, err := CompileVariant(b.Seq, b.Name)
+		seqM, err := CompileVariant(testSession, b.Seq, b.Name)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		ref, err := b.Run(seqM, 1)
+		ref, err := b.RunWith(seqM, interp.Options{NumThreads: 1})
 		if err != nil {
 			t.Fatalf("%s seq: %v", b.Name, err)
 		}
@@ -114,11 +121,11 @@ func TestParallelCorrectness(t *testing.T) {
 			if v.src == "" {
 				continue
 			}
-			m, err := CompileVariant(v.src, b.Name+"/"+v.tag)
+			m, err := CompileVariant(testSession, v.src, b.Name+"/"+v.tag)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mach, err := b.Run(m, 4)
+			mach, err := b.RunWith(m, interp.Options{NumThreads: 4})
 			if err != nil {
 				t.Fatalf("%s %s parallel: %v", b.Name, v.tag, err)
 			}
@@ -135,19 +142,19 @@ func TestParallelCorrectness(t *testing.T) {
 func TestAutoParallelizePipeline(t *testing.T) {
 	totalParallelized := 0
 	for _, b := range All() {
-		m, res, err := b.CompileParallelIR()
+		m, res, err := b.CompileParallelIR(testSession)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
 		for _, n := range res.Parallelized {
 			totalParallelized += n
 		}
-		seqM, _ := CompileVariant(b.Seq, b.Name)
-		ref, err := b.Run(seqM, 1)
+		seqM, _ := CompileVariant(testSession, b.Seq, b.Name)
+		ref, err := b.RunWith(seqM, interp.Options{NumThreads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mach, err := b.Run(m, 4)
+		mach, err := b.RunWith(m, interp.Options{NumThreads: 4})
 		if err != nil {
 			t.Fatalf("%s parallelized run: %v", b.Name, err)
 		}
@@ -166,24 +173,24 @@ func TestAutoParallelizePipeline(t *testing.T) {
 // and recompiles the result — the portability property, suite-wide.
 func TestSplendidDecompilesSuite(t *testing.T) {
 	for _, b := range All() {
-		m, _, err := b.CompileParallelIR()
+		m, _, err := b.CompileParallelIR(testSession)
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		res, err := splendid.Decompile(m, splendid.Full())
+		res, err := splendid.Decompile(m, splendid.Full(), passes.RunConfig{})
 		if err != nil {
 			t.Fatalf("%s: decompile: %v", b.Name, err)
 		}
-		rec, err := CompileVariant(res.C, b.Name+"/splendid")
+		rec, err := CompileVariant(testSession, res.C, b.Name+"/splendid")
 		if err != nil {
 			t.Fatalf("%s: SPLENDID output does not recompile: %v\n%s", b.Name, err, res.C)
 		}
-		seqM, _ := CompileVariant(b.Seq, b.Name)
-		ref, err := b.Run(seqM, 1)
+		seqM, _ := CompileVariant(testSession, b.Seq, b.Name)
+		ref, err := b.RunWith(seqM, interp.Options{NumThreads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mach, err := b.Run(rec, 4)
+		mach, err := b.RunWith(rec, interp.Options{NumThreads: 4})
 		if err != nil {
 			t.Fatalf("%s: recompiled SPLENDID run: %v\n%s", b.Name, err, res.C)
 		}

@@ -10,21 +10,12 @@ import (
 	"repro/internal/parallel"
 )
 
-// defaultSession is the process-wide driver session package-level helpers
-// compile through; its memo makes repeated variant compilation (tests,
-// the experiments harness) cheap.
-var defaultSession = driver.New(driver.Options{})
-
 // CompileVariant compiles one of the benchmark's source variants
-// (sequential, reference, manual, or collaborative) through the frontend
-// and the O2 pipeline. OpenMP pragmas in the source lower to runtime
-// calls, so the result runs in parallel on a multi-threaded machine.
-func CompileVariant(src, name string) (*ir.Module, error) {
-	return CompileVariantWith(defaultSession, src, name)
-}
-
-// CompileVariantWith is CompileVariant through a caller-owned session.
-func CompileVariantWith(s *driver.Session, src, name string) (*ir.Module, error) {
+// (sequential, reference, manual, or collaborative) through the session's
+// frontend and O2 pipeline; the session's memo makes repeated variant
+// compilation cheap. OpenMP pragmas in the source lower to runtime calls,
+// so the result runs in parallel on a multi-threaded machine.
+func CompileVariant(s *driver.Session, src, name string) (*ir.Module, error) {
 	m, err := s.OptimizedIR(name, src)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
@@ -36,16 +27,11 @@ func CompileVariantWith(s *driver.Session, src, name string) (*ir.Module, error)
 }
 
 // CompileParallelIR builds the decompilation input of the paper's
-// pipeline: sequential source, -O2, automatic parallelization. The
-// parallelizer's report is returned for Table 3.
-func (b *Benchmark) CompileParallelIR() (*ir.Module, *parallel.Result, error) {
-	return b.CompileParallelIRWith(defaultSession)
-}
-
-// CompileParallelIRWith is CompileParallelIR through a caller-owned
-// session — the session's memo makes the O2+parallelize prefix a cache
-// hit when several experiment variants fork from the same input.
-func (b *Benchmark) CompileParallelIRWith(s *driver.Session) (*ir.Module, *parallel.Result, error) {
+// pipeline through s: sequential source, -O2, automatic parallelization.
+// The parallelizer's report is returned for Table 3. The session's memo
+// makes the O2+parallelize prefix a cache hit when several experiment
+// variants fork from the same input.
+func (b *Benchmark) CompileParallelIR(s *driver.Session) (*ir.Module, *parallel.Result, error) {
 	m, res, err := s.ParallelIR(b.Name, b.Seq)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", b.Name, err)
@@ -56,16 +42,11 @@ func (b *Benchmark) CompileParallelIRWith(s *driver.Session) (*ir.Module, *paral
 	return m, res, nil
 }
 
-// Run executes the benchmark's functions on a fresh machine and returns
-// it for inspection.
-func (b *Benchmark) Run(m *ir.Module, threads int) (*interp.Machine, error) {
-	return b.RunWith(m, interp.Options{NumThreads: threads})
-}
-
-// RunWith is Run with full control over the machine options — the
-// observability harnesses use it to attach the parallel-region profiler
-// (Profile), the dynamic DOALL conflict checker (CheckRaces), or a
-// telemetry context to a kernel execution.
+// RunWith executes the benchmark's functions on a fresh machine built
+// from opts and returns it for inspection. The observability harnesses
+// use opts to attach the parallel-region profiler (Profile), the dynamic
+// DOALL conflict checker (CheckRaces), or a telemetry context to a kernel
+// execution.
 func (b *Benchmark) RunWith(m *ir.Module, opts interp.Options) (*interp.Machine, error) {
 	mach := interp.NewMachine(m, opts)
 	for _, fn := range b.RunFuncs {

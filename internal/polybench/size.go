@@ -77,7 +77,7 @@ func (b *Benchmark) sizedName(size Size) string {
 	return b.Name + "@" + string(size)
 }
 
-// CompileParallelIRSized is CompileParallelIRWith at a problem size:
+// CompileParallelIRSized is CompileParallelIR at a problem size:
 // sequential source scaled, then O2 and automatic parallelization.
 func (b *Benchmark) CompileParallelIRSized(s *driver.Session, size Size) (*ir.Module, *parallel.Result, error) {
 	m, res, err := s.ParallelIR(b.sizedName(size), b.SeqAt(size))

@@ -14,20 +14,13 @@ import (
 // the guard check when it is provably equivalent to the initial exit
 // test of the constructed for loop. Returns the number of loops
 // de-rotated.
-func DerotateLoops(f *ir.Function) int { return DerotateLoopsCtx(f, nil) }
-
-// DerotateLoopsCtx is DerotateLoops with telemetry: each de-rotation and
-// each guard proved redundant (the derotate.guards-proved counter) is
-// recorded on tc.
-func DerotateLoopsCtx(f *ir.Function, tc *telemetry.Ctx) int {
-	return DerotateLoopsOpts(f, nil, tc)
-}
-
-// DerotateLoopsOpts is DerotateLoopsCtx with a shared analysis cache: the
-// loop forest is queried through am (nil computes fresh), whose content
-// hashing absorbs the invalidation bookkeeping of the rewrite loops —
-// settled iterations hit the cache instead of recomputing dominators.
-func DerotateLoopsOpts(f *ir.Function, am *analysis.Manager, tc *telemetry.Ctx) int {
+//
+// The loop forest is queried through am (nil computes fresh), whose
+// content hashing absorbs the invalidation bookkeeping of the rewrite
+// loops: settled iterations hit the cache instead of recomputing
+// dominators. Each de-rotation and each guard proved redundant (the
+// derotate.guards-proved counter) is recorded on tc.
+func DerotateLoops(f *ir.Function, am *analysis.Manager, tc *telemetry.Ctx) int {
 	n := 0
 	for i := 0; i < 64; i++ {
 		li := am.Loops(f)

@@ -36,23 +36,23 @@ void kernel() {
   total = acc;
 }
 `
-	m, err := cfront.CompileSource(src, "dynred")
+	m, err := cfront.CompileSource(src, "dynred", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	passes.Optimize(m)
-	res, err := Decompile(m, Full())
+	passes.Optimize(m, passes.RunConfig{})
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatalf("decompile: %v", err)
 	}
 	if !strings.Contains(res.C, "reduction(+: acc)") {
 		t.Errorf("reduction clause missing from decompiled C:\n%s", res.C)
 	}
-	rec, err := cfront.CompileSource(res.C, "rec")
+	rec, err := cfront.CompileSource(res.C, "rec", nil)
 	if err != nil {
 		t.Fatalf("recompile: %v\n%s", err, res.C)
 	}
-	passes.Optimize(rec)
+	passes.Optimize(rec, passes.RunConfig{})
 
 	var want int64
 	for i := int64(0); i < 48; i++ {

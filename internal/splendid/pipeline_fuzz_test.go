@@ -85,7 +85,7 @@ func TestPipelinePropertyOnGeneratedKernels(t *testing.T) {
 		src := genKernel(seed)
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			// Sequential reference.
-			ref, err := cfront.CompileSource(src, "ref")
+			ref, err := cfront.CompileSource(src, "ref", nil)
 			if err != nil {
 				t.Fatalf("compile: %v\n%s", err, src)
 			}
@@ -93,24 +93,24 @@ func TestPipelinePropertyOnGeneratedKernels(t *testing.T) {
 			mustRunFns(t, refMach, "seed", "kernel")
 
 			// Pipeline.
-			m, err := cfront.CompileSource(src, "gen")
+			m, err := cfront.CompileSource(src, "gen", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			passes.Optimize(m)
+			passes.Optimize(m, passes.RunConfig{})
 			parallel.Parallelize(m, parallel.Options{})
 			if err := m.Verify(); err != nil {
 				t.Fatalf("verify parallel IR: %v\n%s", err, src)
 			}
-			res, err := Decompile(m, Full())
+			res, err := Decompile(m, Full(), passes.RunConfig{})
 			if err != nil {
 				t.Fatalf("decompile: %v\n%s", err, src)
 			}
-			rec, err := cfront.CompileSource(res.C, "rec")
+			rec, err := cfront.CompileSource(res.C, "rec", nil)
 			if err != nil {
 				t.Fatalf("recompile: %v\n--- source ---\n%s\n--- decompiled ---\n%s", err, src, res.C)
 			}
-			passes.Optimize(rec)
+			passes.Optimize(rec, passes.RunConfig{})
 
 			for _, threads := range []int{1, 3} {
 				mach := interp.NewMachine(rec, interp.Options{NumThreads: threads})
@@ -148,31 +148,31 @@ void kernel() {
   }
 }
 `
-	ref, _ := cfront.CompileSource(src, "ref")
+	ref, _ := cfront.CompileSource(src, "ref", nil)
 	refMach := interp.NewMachine(ref, interp.Options{})
 	mustRunFns(t, refMach, "seed", "kernel")
 
-	m, err := cfront.CompileSource(src, "neg")
+	m, err := cfront.CompileSource(src, "neg", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	passes.Optimize(m)
+	passes.Optimize(m, passes.RunConfig{})
 	pres := parallel.Parallelize(m, parallel.Options{})
 	if pres.Parallelized["kernel"] != 1 {
 		t.Fatalf("descending loop not parallelized:\n%s", m.Print())
 	}
-	res, err := Decompile(m, Full())
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(res.C, "i--") && !strings.Contains(res.C, "i = i - 1") {
 		t.Errorf("descending for loop not restored:\n%s", res.C)
 	}
-	rec, err := cfront.CompileSource(res.C, "rec")
+	rec, err := cfront.CompileSource(res.C, "rec", nil)
 	if err != nil {
 		t.Fatalf("recompile: %v\n%s", err, res.C)
 	}
-	passes.Optimize(rec)
+	passes.Optimize(rec, passes.RunConfig{})
 	mach := interp.NewMachine(rec, interp.Options{NumThreads: 4})
 	mustRunFns(t, mach, "seed", "kernel")
 	want := refMach.GlobalMem("A")
@@ -206,31 +206,31 @@ void kernel() {
   }
 }
 `
-	ref, _ := cfront.CompileSource(src, "ref")
+	ref, _ := cfront.CompileSource(src, "ref", nil)
 	refMach := interp.NewMachine(ref, interp.Options{})
 	mustRunFns(t, refMach, "seed", "kernel")
 
-	m, err := cfront.CompileSource(src, "cond")
+	m, err := cfront.CompileSource(src, "cond", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	passes.Optimize(m)
+	passes.Optimize(m, passes.RunConfig{})
 	pres := parallel.Parallelize(m, parallel.Options{})
 	if pres.Parallelized["kernel"] != 1 {
 		t.Fatalf("conditional-body loop not parallelized:\n%s", m.Print())
 	}
-	res, err := Decompile(m, Full())
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(res.C, "if (") || strings.Contains(res.C, "goto") {
 		t.Errorf("conditional not structured:\n%s", res.C)
 	}
-	rec, err := cfront.CompileSource(res.C, "rec")
+	rec, err := cfront.CompileSource(res.C, "rec", nil)
 	if err != nil {
 		t.Fatalf("recompile: %v\n%s", err, res.C)
 	}
-	passes.Optimize(rec)
+	passes.Optimize(rec, passes.RunConfig{})
 	mach := interp.NewMachine(rec, interp.Options{NumThreads: 4})
 	mustRunFns(t, mach, "seed", "kernel")
 	want := refMach.GlobalMem("A")

@@ -36,7 +36,7 @@ func TestReductionDecompilation(t *testing.T) {
 	if !strings.Contains(m.Print(), "__kmpc_atomic_float8_add") {
 		t.Fatalf("parallelizer did not lower the reduction:\n%s", m.Print())
 	}
-	res, err := Decompile(m, Full())
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestReductionDecompilation(t *testing.T) {
 
 	// Round trip: recompile and run, sequentially exact and in parallel
 	// within reduction tolerance.
-	ref, _ := cfront.CompileSource(reductionSrc, "ref")
+	ref, _ := cfront.CompileSource(reductionSrc, "ref", nil)
 	refMach := interp.NewMachine(ref, interp.Options{})
 	mustRunFns(t, refMach, "seed")
 	want, err := refMach.Run("sum")
@@ -63,11 +63,11 @@ func TestReductionDecompilation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec, err := cfront.CompileSource(c, "rec")
+	rec, err := cfront.CompileSource(c, "rec", nil)
 	if err != nil {
 		t.Fatalf("recompile: %v\n%s", err, c)
 	}
-	passes.Optimize(rec)
+	passes.Optimize(rec, passes.RunConfig{})
 	for _, threads := range []int{1, 5} {
 		mach := interp.NewMachine(rec, interp.Options{NumThreads: threads})
 		mustRunFns(t, mach, "seed")
@@ -89,15 +89,15 @@ func TestReductionSequentialRoundTripExact(t *testing.T) {
 	// With one worker the combine order matches sequential execution, so
 	// the round trip must be bitwise exact.
 	m := buildParallelIR(t, reductionSrc)
-	res, err := Decompile(m, Full())
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := cfront.CompileSource(res.C, "rec")
+	rec, err := cfront.CompileSource(res.C, "rec", nil)
 	if err != nil {
 		t.Fatalf("recompile: %v\n%s", err, res.C)
 	}
-	ref, _ := cfront.CompileSource(reductionSrc, "ref")
+	ref, _ := cfront.CompileSource(reductionSrc, "ref", nil)
 	refMach := interp.NewMachine(ref, interp.Options{})
 	recMach := interp.NewMachine(rec, interp.Options{NumThreads: 1})
 	mustRunFns(t, refMach, "seed")
@@ -144,17 +144,17 @@ double sumN(long n) {
 // zero-trip path must return the initial value, not an undefined partial.
 func TestReductionVariableBoundZeroTrip(t *testing.T) {
 	m := buildParallelIR(t, varBoundSrc)
-	res, err := Decompile(m, Full())
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := cfront.CompileSource(res.C, "rec")
+	rec, err := cfront.CompileSource(res.C, "rec", nil)
 	if err != nil {
 		t.Fatalf("recompile: %v\n%s", err, res.C)
 	}
-	passes.Optimize(rec)
+	passes.Optimize(rec, passes.RunConfig{})
 
-	ref, _ := cfront.CompileSource(varBoundSrc, "ref")
+	ref, _ := cfront.CompileSource(varBoundSrc, "ref", nil)
 	refMach := interp.NewMachine(ref, interp.Options{})
 	mustRunFns(t, refMach, "seed")
 	mach := interp.NewMachine(rec, interp.Options{NumThreads: 4})
@@ -204,12 +204,12 @@ void kernel() {
 // by a programmer (or another tool) decompiles to schedule(dynamic) and
 // round-trips through recompilation.
 func TestDynamicScheduleDecompilation(t *testing.T) {
-	m, err := cfront.CompileSource(dynamicSrc, "dyn")
+	m, err := cfront.CompileSource(dynamicSrc, "dyn", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	passes.Optimize(m)
-	res, err := Decompile(m, Full())
+	passes.Optimize(m, passes.RunConfig{})
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatalf("decompile: %v", err)
 	}
@@ -225,12 +225,12 @@ func TestDynamicScheduleDecompilation(t *testing.T) {
 	}
 
 	// Round trip.
-	rec, err := cfront.CompileSource(c, "rec")
+	rec, err := cfront.CompileSource(c, "rec", nil)
 	if err != nil {
 		t.Fatalf("recompile: %v\n%s", err, c)
 	}
-	passes.Optimize(rec)
-	ref, _ := cfront.CompileSource(dynamicSrc, "ref")
+	passes.Optimize(rec, passes.RunConfig{})
+	ref, _ := cfront.CompileSource(dynamicSrc, "ref", nil)
 	refMach := interp.NewMachine(ref, interp.Options{})
 	mustRunFns(t, refMach, "seed", "kernel")
 	for _, threads := range []int{1, 4} {

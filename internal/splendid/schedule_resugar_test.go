@@ -54,12 +54,12 @@ func TestScheduleResugar(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.clause, func(t *testing.T) {
 			src := scheduleSrc(c.clause)
-			m, err := cfront.CompileSource(src, "sched")
+			m, err := cfront.CompileSource(src, "sched", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			passes.Optimize(m)
-			res, err := Decompile(m, Full())
+			passes.Optimize(m, passes.RunConfig{})
+			res, err := Decompile(m, Full(), passes.RunConfig{})
 			if err != nil {
 				t.Fatalf("decompile: %v", err)
 			}
@@ -73,12 +73,12 @@ func TestScheduleResugar(t *testing.T) {
 				t.Errorf("runtime calls survived:\n%s", res.C)
 			}
 
-			rec, err := cfront.CompileSource(res.C, "rec")
+			rec, err := cfront.CompileSource(res.C, "rec", nil)
 			if err != nil {
 				t.Fatalf("recompile: %v\n%s", err, res.C)
 			}
-			passes.Optimize(rec)
-			ref, _ := cfront.CompileSource(src, "ref")
+			passes.Optimize(rec, passes.RunConfig{})
+			ref, _ := cfront.CompileSource(src, "ref", nil)
 			refMach := interp.NewMachine(ref, interp.Options{})
 			mustRunFns(t, refMach, "seed", "kernel")
 			want := refMach.GlobalMem("A")

@@ -27,11 +27,9 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/analysis"
 	"repro/internal/cast"
 	"repro/internal/decomp"
 	"repro/internal/ir"
-	"repro/internal/metrics"
 	"repro/internal/passes"
 	"repro/internal/telemetry"
 )
@@ -86,53 +84,27 @@ type Result struct {
 	Stats Stats
 }
 
-// Decompile translates parallel IR into OpenMP C source. The input
-// module is not modified (the pipeline runs on a private copy).
-func Decompile(m *ir.Module, cfg Config) (*Result, error) {
-	return DecompileCtx(m, cfg, nil)
-}
-
-// Opts configures how the decompilation pipeline executes, independent of
-// which features (Config) it runs. The zero value is serial, uncached,
-// unobserved execution — exactly the legacy DecompileCtx behaviour.
-type Opts struct {
-	// Telemetry receives stage spans, counters, and remarks (nil disables).
-	Telemetry *telemetry.Ctx
-	// Analyses is a shared analysis cache for the per-function rewrite
-	// stages (nil computes analyses fresh each time).
-	Analyses *analysis.Manager
-	// Workers is the function-level parallelism degree for the
-	// detransformer and emission stages: 0 or 1 is serial; >1 schedules
-	// functions across a worker pool. Output is byte-identical for every
-	// value — emission order follows the module, not the workers.
-	Workers int
-	// VerifyEach re-verifies the module after every pipeline stage and
-	// every cleanup pass, attributing failures to the stage that broke it.
-	VerifyEach bool
-	// Metrics receives function-scheduler counters (splendid_sched_*)
-	// from the fan-out stages. Nil disables them.
-	Metrics *metrics.Registry
-}
-
-// DecompileCtx is Decompile with observation: every stage of the paper's
-// Figure 4 pipeline (semantic analyzer, detransformers, variable
-// generator, pragma generator, control-flow generator) is recorded as a
-// telemetry stage span, and the detransformers emit counters and remarks
-// through tc. A nil tc disables collection at no cost.
-func DecompileCtx(m *ir.Module, cfg Config, tc *telemetry.Ctx) (*Result, error) {
-	return DecompileOpts(m, cfg, Opts{Telemetry: tc})
-}
-
-// DecompileOpts is the full-control entry point: feature selection via
-// cfg, execution policy via opts. The per-function stages (mem2reg
-// promotion, loop de-rotation, address rematerialization, variable
-// generation, control-flow generation) run under the function scheduler;
-// module-level stages (region detransformation, pragma refresh) are
-// serial barriers between them.
-func DecompileOpts(m *ir.Module, cfg Config, opts Opts) (*Result, error) {
-	tc := opts.Telemetry
-	am := opts.Analyses
-	sm := passes.NewSchedMetrics(opts.Metrics)
+// Decompile translates parallel IR into OpenMP C source: feature
+// selection via cfg, execution policy via rc, whose zero value is serial,
+// uncached, and unobserved. The input module is not modified (the
+// pipeline runs on a private copy).
+//
+// Every stage of the paper's Figure 4 pipeline is recorded as a telemetry
+// stage span on rc.Telemetry, and the detransformers emit counters and
+// remarks through it. The per-function stages (mem2reg promotion, loop
+// de-rotation, address rematerialization, variable generation,
+// control-flow generation) run under the function scheduler with
+// rc.Workers workers; output is byte-identical for every worker count,
+// because emission order follows the module, not the workers.
+// Module-level stages (region detransformation, pragma refresh) are
+// serial barriers between them. rc.Analyses is a shared analysis cache
+// for the per-function rewrite stages, and rc.VerifyEach re-verifies the
+// module after every stage and every cleanup pass, attributing failures
+// to the stage that broke it.
+func Decompile(m *ir.Module, cfg Config, rc passes.RunConfig) (*Result, error) {
+	tc := rc.Telemetry
+	am := rc.Analyses
+	sm := passes.NewSchedMetrics(rc.Metrics)
 	total := tc.StartStage("decompile")
 	defer total.End()
 
@@ -150,7 +122,7 @@ func DecompileOpts(m *ir.Module, cfg Config, opts Opts) (*Result, error) {
 	var mu sync.Mutex // guards res.Stats from scheduler workers
 
 	verifyStage := func(stage string) error {
-		if !opts.VerifyEach {
+		if !rc.VerifyEach {
 			return nil
 		}
 		if err := work.Verify(); err != nil {
@@ -185,10 +157,7 @@ func DecompileOpts(m *ir.Module, cfg Config, opts Opts) (*Result, error) {
 	// across the scheduler; stage boundaries remain barriers.
 	if cfg.ExplicitParallelism {
 		sp = tc.StartStage("mem2reg-promote")
-		err = passes.ScheduleFunctionsMetered(work, opts.Workers, func(f *ir.Function) error {
-			_, err := runFnPass(passes.Mem2RegPass, f, am, tc)
-			return err
-		}, sm)
+		_, err = passes.RunPipeline(work, rc, passes.Mem2RegPass)
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -199,8 +168,8 @@ func DecompileOpts(m *ir.Module, cfg Config, opts Opts) (*Result, error) {
 	}
 	if cfg.RestoreForLoops {
 		sp = tc.StartStage("derotate")
-		err = passes.ScheduleFunctionsMetered(work, opts.Workers, func(f *ir.Function) error {
-			n := DerotateLoopsOpts(f, am, tc)
+		err = passes.ScheduleFunctions(work, rc.Workers, func(f *ir.Function) error {
+			n := DerotateLoops(f, am, tc)
 			am.Invalidate(f)
 			if n > 0 {
 				mu.Lock()
@@ -219,7 +188,7 @@ func DecompileOpts(m *ir.Module, cfg Config, opts Opts) (*Result, error) {
 	}
 	if cfg.FoldExpressions {
 		sp = tc.StartStage("rematerialize")
-		err = passes.ScheduleFunctionsMetered(work, opts.Workers, func(f *ir.Function) error {
+		err = passes.ScheduleFunctions(work, rc.Workers, func(f *ir.Function) error {
 			RematerializeAddresses(f)
 			am.Invalidate(f)
 			return nil
@@ -233,10 +202,7 @@ func DecompileOpts(m *ir.Module, cfg Config, opts Opts) (*Result, error) {
 		}
 	}
 	sp = tc.StartStage("cleanup")
-	_, err = passes.RunPipelineConfig(work, passes.RunConfig{
-		Analyses: am, Telemetry: tc, VerifyEach: opts.VerifyEach,
-		Workers: opts.Workers, Metrics: opts.Metrics,
-	}, passes.ConstFoldPass, passes.DCEPass, passes.SimplifyCFGPass)
+	_, err = passes.RunPipeline(work, rc, passes.ConstFoldPass, passes.DCEPass, passes.SimplifyCFGPass)
 	sp.End()
 	if err != nil {
 		return nil, err
@@ -275,19 +241,19 @@ func DecompileOpts(m *ir.Module, cfg Config, opts Opts) (*Result, error) {
 		}
 	}
 	fds := make([]*cast.FuncDecl, len(slot))
-	err = passes.ScheduleFunctionsMetered(work, opts.Workers, func(f *ir.Function) error {
+	err = passes.ScheduleFunctions(work, rc.Workers, func(f *ir.Function) error {
 		var namer decomp.Namer
 		sourceNames := map[string]bool{}
 		var vg *VarGenStats
 		if cfg.RenameVariables {
 			vs := tc.StartSpan(telemetry.CatStage, "vargen", f.Nam)
-			proposal, vstats := GenerateVariablesCtx(f, tc)
+			proposal, vstats := GenerateVariables(f, tc)
 			vg = vstats
-			final := FinalNamesCtx(f, proposal, tc)
+			final := FinalNames(f, proposal, tc)
 			for _, w := range proposal {
 				sourceNames[w] = true
 			}
-			namer = decomp.SourceNamer(valueStrings(final))
+			namer = decomp.SourceNamer(final)
 			vs.End()
 		}
 		info := &decomp.EmitInfo{}
@@ -328,16 +294,6 @@ func DecompileOpts(m *ir.Module, cfg Config, opts Opts) (*Result, error) {
 	res.C = cast.Print(file)
 	return res, nil
 }
-
-// runFnPass executes one named pass on one function with span
-// bookkeeping, mirroring the managed pipeline's per-pass step.
-func runFnPass(p passes.Pass, f *ir.Function, am *analysis.Manager, tc *telemetry.Ctx) (bool, error) {
-	cs, err := passes.RunPipelineFn(f, passes.RunConfig{Analyses: am, Telemetry: tc}, p)
-	return cs, err
-}
-
-// valueStrings adapts a concrete name map to SourceNamer's input shape.
-func valueStrings(final map[ir.Value]string) map[ir.Value]string { return final }
 
 // publicName strips pipeline suffixes from function names in emitted C.
 func publicName(n string) string {

@@ -15,11 +15,11 @@ import (
 // compile, -O2, Polly-style parallelization.
 func buildParallelIR(t *testing.T, src string) *ir.Module {
 	t.Helper()
-	m, err := cfront.CompileSource(src, "test")
+	m, err := cfront.CompileSource(src, "test", nil)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	passes.Optimize(m)
+	passes.Optimize(m, passes.RunConfig{})
 	parallel.Parallelize(m, parallel.Options{})
 	if err := m.Verify(); err != nil {
 		t.Fatalf("verify: %v", err)
@@ -47,7 +47,7 @@ void kernel() {
 
 func TestFullDecompilationShape(t *testing.T) {
 	m := buildParallelIR(t, jacobiSrc)
-	res, err := Decompile(m, Full())
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatalf("decompile: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestFullDecompilationShape(t *testing.T) {
 func TestVariantLadder(t *testing.T) {
 	m := buildParallelIR(t, jacobiSrc)
 
-	v1, err := Decompile(m, V1())
+	v1, err := Decompile(m, V1(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestVariantLadder(t *testing.T) {
 		t.Error("v1 should emit for loops")
 	}
 
-	v2, err := Decompile(m, Portable())
+	v2, err := Decompile(m, Portable(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestVariantLadder(t *testing.T) {
 		t.Error("portable output must carry OpenMP pragmas")
 	}
 	// v2 keeps register-flavored names; full restores source names.
-	full, err := Decompile(m, Full())
+	full, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +116,13 @@ func TestVariantLadder(t *testing.T) {
 // original program, sequentially and in parallel.
 func TestRoundTripPortability(t *testing.T) {
 	m := buildParallelIR(t, jacobiSrc)
-	res, err := Decompile(m, Full())
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Reference: the original, unparallelized program.
-	ref, err := cfront.CompileSource(jacobiSrc, "ref")
+	ref, err := cfront.CompileSource(jacobiSrc, "ref", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +134,11 @@ func TestRoundTripPortability(t *testing.T) {
 	}
 
 	// Recompiled decompiled output, run with several team sizes.
-	rec, err := cfront.CompileSource(res.C, "recompiled")
+	rec, err := cfront.CompileSource(res.C, "recompiled", nil)
 	if err != nil {
 		t.Fatalf("recompile of SPLENDID output failed: %v\n%s", err, res.C)
 	}
-	passes.Optimize(rec)
+	passes.Optimize(rec, passes.RunConfig{})
 	for _, threads := range []int{1, 4} {
 		mach := interp.NewMachine(rec, interp.Options{NumThreads: threads})
 		for _, fn := range []string{"seed", "kernel"} {
@@ -185,7 +185,7 @@ void kernel(double alpha, double beta) {
 
 func TestRoundTripNestedLoops(t *testing.T) {
 	m := buildParallelIR(t, gemmSrc)
-	res, err := Decompile(m, Full())
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +193,13 @@ func TestRoundTripNestedLoops(t *testing.T) {
 	if strings.Contains(res.C, "do {") {
 		t.Errorf("nested loops left as do-while:\n%s", res.C)
 	}
-	rec, err := cfront.CompileSource(res.C, "recompiled")
+	rec, err := cfront.CompileSource(res.C, "recompiled", nil)
 	if err != nil {
 		t.Fatalf("recompile failed: %v\n%s", err, res.C)
 	}
-	passes.Optimize(rec)
+	passes.Optimize(rec, passes.RunConfig{})
 
-	ref, _ := cfront.CompileSource(gemmSrc, "ref")
+	ref, _ := cfront.CompileSource(gemmSrc, "ref", nil)
 	refMach := interp.NewMachine(ref, interp.Options{})
 	alpha, beta := interp.FloatV(1.5), interp.FloatV(0.5)
 	if _, err := refMach.Run("seed"); err != nil {
@@ -227,7 +227,7 @@ func TestRoundTripNestedLoops(t *testing.T) {
 
 func TestVariableRenamingRecoversSourceNames(t *testing.T) {
 	m := buildParallelIR(t, gemmSrc)
-	res, err := Decompile(m, Full())
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ entry:
 }
 `)
 	f := m.FuncByName("f")
-	proposal, stats := GenerateVariables(f)
+	proposal, stats := GenerateVariables(f, nil)
 	// Exactly one of x1/x2 may carry "var".
 	named := 0
 	for v, w := range proposal {
@@ -309,7 +309,7 @@ entry:
 }
 `)
 	f := m.FuncByName("g")
-	proposal, stats := GenerateVariables(f)
+	proposal, stats := GenerateVariables(f, nil)
 	if proposal[findInstr(f, "x1")] != "var" || proposal[findInstr(f, "x2")] != "var" {
 		t.Errorf("disjoint lifetimes lost their names: %v (stats %+v)", proposal, stats)
 	}
@@ -327,7 +327,7 @@ func findInstr(f *ir.Function, name string) ir.Value {
 
 func TestGuardCheckEliminated(t *testing.T) {
 	m := buildParallelIR(t, jacobiSrc)
-	res, err := Decompile(m, Full())
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ void MayAlias(double* A, double* B, double* C) {
 }
 `
 	m := buildParallelIR(t, src)
-	res, err := Decompile(m, Full())
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ void MayAlias(double* A, double* B, double* C) {
 func TestDecompileDoesNotMutateInput(t *testing.T) {
 	m := buildParallelIR(t, jacobiSrc)
 	before := m.Print()
-	if _, err := Decompile(m, Full()); err != nil {
+	if _, err := Decompile(m, Full(), passes.RunConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Print() != before {
@@ -405,19 +405,19 @@ long trisum(long n) {
   return s;
 }
 `
-	m, err := cfront.CompileSource(src, "seq")
+	m, err := cfront.CompileSource(src, "seq", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	passes.Optimize(m)
-	res, err := Decompile(m, Full())
+	passes.Optimize(m, passes.RunConfig{})
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(res.C, "do {") || strings.Contains(res.C, "goto") {
 		t.Errorf("sequential loops not restored to for:\n%s", res.C)
 	}
-	rec, err := cfront.CompileSource(res.C, "rec")
+	rec, err := cfront.CompileSource(res.C, "rec", nil)
 	if err != nil {
 		t.Fatalf("recompile: %v\n%s", err, res.C)
 	}
@@ -446,7 +446,7 @@ void kernel() {
 }
 `
 	m := buildParallelIR(t, src)
-	res, err := Decompile(m, Full())
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ void compute(long n) {
 	if !strings.Contains(m.Print(), "call void @__kmpc_fork_call") {
 		t.Fatalf("malloc'd loop not parallelized:\n%s", m.Print())
 	}
-	res, err := Decompile(m, Full())
+	res, err := Decompile(m, Full(), passes.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,15 +22,10 @@ type VarGenStats struct {
 // GenerateVariables runs the Variable Proposer, the Most Recent Variable
 // Definitions dataflow (Algorithm 1), and Conflicting Definition Removal
 // (Algorithm 2) over f, returning a validated value→source-variable map
-// (paper §4.3).
-func GenerateVariables(f *ir.Function) (map[ir.Value]string, *VarGenStats) {
-	return GenerateVariablesCtx(f, nil)
-}
-
-// GenerateVariablesCtx is GenerateVariables with telemetry: proposals,
-// conflict removals (Algorithm 2), and final naming counts are recorded
-// as counters, and each conflict removal emits a remark.
-func GenerateVariablesCtx(f *ir.Function, tc *telemetry.Ctx) (map[ir.Value]string, *VarGenStats) {
+// (paper §4.3). Proposals, conflict removals, and final
+// naming counts are recorded as counters on tc, and each conflict
+// removal emits a remark.
+func GenerateVariables(f *ir.Function, tc *telemetry.Ctx) (map[ir.Value]string, *VarGenStats) {
 	stats := &VarGenStats{}
 
 	// --- Variable Proposer / Metadata Interpreter (§4.3.1) ---
@@ -248,16 +243,12 @@ func findConflicts(f *ir.Function, proposal map[ir.Value]string) []ir.Value {
 
 // FinalNames builds the complete value→C-name map for a function:
 // validated source proposals first, IR-derived fallbacks for the rest,
-// with collisions against source names suffixed away.
-func FinalNames(f *ir.Function, proposal map[ir.Value]string) map[ir.Value]string {
-	return FinalNamesCtx(f, proposal, nil)
-}
-
-// FinalNamesCtx is FinalNames with telemetry. A value that falls back to
-// a synthetic (IR-derived) name does so because no debug metadata
-// survived optimization for it — the loss the paper's Figure 8 accounts —
-// so the fallback is reported as a remark instead of dropped silently.
-func FinalNamesCtx(f *ir.Function, proposal map[ir.Value]string, tc *telemetry.Ctx) map[ir.Value]string {
+// with collisions against source names suffixed away. A value that
+// falls back to a synthetic (IR-derived) name does so because no debug
+// metadata survived optimization for it — the loss the paper's Figure 8
+// accounts — so the fallback is reported as a remark on tc instead of
+// dropped silently.
+func FinalNames(f *ir.Function, proposal map[ir.Value]string, tc *telemetry.Ctx) map[ir.Value]string {
 	names := map[ir.Value]string{}
 	reserved := map[string]bool{}
 	for _, w := range proposal {

@@ -30,7 +30,7 @@ entry:
 	}
 	// Debug metadata relates %a to source variable "i"; both params lost
 	// theirs and fall back to IR-derived names.
-	names := FinalNames(f, map[ir.Value]string{add: "i"})
+	names := FinalNames(f, map[ir.Value]string{add: "i"}, nil)
 
 	seen := map[string]ir.Value{}
 	for v, n := range names {

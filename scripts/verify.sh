@@ -34,8 +34,9 @@ go run ./cmd/difftest -seed 1 -n 25
 echo "== differential fleet: sharded sweep, SIGKILL, resume (journal + summary)"
 sh scripts/fleet_smoke.sh 1 200 4
 
-echo "== fuzz smoke: IR text round trip + differential round trip"
+echo "== fuzz smoke: IR text round trip + raw-byte C frontend + differential round trip"
 go test -run '^$' -fuzz='^FuzzIRParseRoundTrip$' -fuzztime=10s ./internal/ir/
+go test -run '^$' -fuzz='^FuzzCompileSource$' -fuzztime=10s ./internal/cfront/
 go test -run '^$' -fuzz='^FuzzRoundTripExec$' -fuzztime=10s ./internal/difftest/
 
 echo "== runtime observability smoke (writes BENCH_runtime.json + BENCH_runtime_trace.json)"
