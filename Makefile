@@ -14,10 +14,12 @@ difftest:
 	go run ./cmd/difftest -seed $(START) -n $(SEEDS)
 
 # Short native-fuzzing smoke of the harnesses: the IR text round trip,
-# raw bytes into the C frontend, and the full differential round trip.
+# raw bytes into the C frontend, raw bytes into IR parse → verify →
+# decompile, and the full differential round trip.
 fuzz:
 	go test -run '^$$' -fuzz='^FuzzIRParseRoundTrip$$' -fuzztime=10s ./internal/ir/
 	go test -run '^$$' -fuzz='^FuzzCompileSource$$' -fuzztime=10s ./internal/cfront/
+	go test -run '^$$' -fuzz='^FuzzParseIR$$' -fuzztime=10s ./internal/splendid/
 	go test -run '^$$' -fuzz='^FuzzRoundTripExec$$' -fuzztime=10s ./internal/difftest/
 
 # Full benchmark sweep: one benchmark per paper table and figure.

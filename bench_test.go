@@ -289,8 +289,12 @@ func BenchmarkRuntimeProfile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	vm, err := driver.EngineFor("")
+	if err != nil {
+		b.Fatal(err)
+	}
 	mach, err := bench.RunWith(m, interp.Options{
-		NumThreads: cfg.Threads, Profile: true, Telemetry: tc,
+		NumThreads: cfg.Threads, Profile: true, Telemetry: tc, Body: vm,
 	})
 	if err != nil {
 		b.Fatal(err)

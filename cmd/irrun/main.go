@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	irrun [-engine tree|bytecode] [-threads N] [-entry main]
+//	irrun [-engine bytecode|tree] [-threads N] [-entry main]
 //	      [-args "1 2.5"] [-steps] [-prof] [-prof-out FILE]
 //	      [-trace FILE] [-check-races] [-metrics-addr HOST:PORT]
 //	      [-linger DUR] input.ll
@@ -33,7 +33,7 @@ import (
 )
 
 func main() {
-	engine := flag.String("engine", "tree", "body engine: tree (reference walker) or bytecode (lowered register VM)")
+	engine := flag.String("engine", "bytecode", "body engine: bytecode (lowered register VM) or tree (reference walker)")
 	threads := flag.Int("threads", 1, "OpenMP team size for parallel regions (must be >= 1)")
 	entry := flag.String("entry", "main", "function to execute")
 	argStr := flag.String("args", "", "space-separated scalar arguments (int or float)")
@@ -45,7 +45,7 @@ func main() {
 	obs := debugserv.RegisterFlags(flag.CommandLine, "irrun", "run")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: irrun [-engine tree|bytecode] [-threads N] [-entry F] [-args \"...\"] [-prof] [-prof-out FILE] [-trace FILE] [-check-races] [-metrics-addr ADDR] [-linger DUR] input.ll")
+		fmt.Fprintln(os.Stderr, "usage: irrun [-engine bytecode|tree] [-threads N] [-entry F] [-args \"...\"] [-prof] [-prof-out FILE] [-trace FILE] [-check-races] [-metrics-addr ADDR] [-linger DUR] input.ll")
 		os.Exit(2)
 	}
 	if *threads < 1 {

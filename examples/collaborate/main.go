@@ -96,9 +96,12 @@ func main() {
 	}
 	_ = run
 
-	checked := interp.NewMachine(m, interp.Options{NumThreads: 8})
+	// Both runs use the default engine, the bytecode VM.
+	checkedVM, _ := driver.EngineFor("")
+	checked := interp.NewMachine(m, interp.Options{NumThreads: 8, Body: checkedVM})
 	mustRun(checked, "init", "runDistinct")
-	special := interp.NewMachine(spec, interp.Options{NumThreads: 8})
+	specialVM, _ := driver.EngineFor("")
+	special := interp.NewMachine(spec, interp.Options{NumThreads: 8, Body: specialVM})
 	mustRun(special, "init", "runDistinct")
 
 	same := true

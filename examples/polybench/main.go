@@ -42,7 +42,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	seq, err := b.RunWith(seqM, interp.Options{NumThreads: 1})
+	// Both runs use the default engine, the bytecode VM.
+	seqVM, _ := driver.EngineFor("")
+	seq, err := b.RunWith(seqM, interp.Options{NumThreads: 1, Body: seqVM})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +67,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	par, err := b.RunWith(rec, interp.Options{NumThreads: *threads})
+	parVM, _ := driver.EngineFor("")
+	par, err := b.RunWith(rec, interp.Options{NumThreads: *threads, Body: parVM})
 	if err != nil {
 		log.Fatal(err)
 	}

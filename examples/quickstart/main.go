@@ -71,9 +71,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	seqMach := interp.NewMachine(m, interp.Options{NumThreads: 1})
+	// Both runs use the default engine, the bytecode VM.
+	seqVM, _ := driver.EngineFor("")
+	seqMach := interp.NewMachine(m, interp.Options{NumThreads: 1, Body: seqVM})
 	mustRun(seqMach, "init", "kernel")
-	parMach := interp.NewMachine(rec, interp.Options{NumThreads: 8})
+	parVM, _ := driver.EngineFor("")
+	parMach := interp.NewMachine(rec, interp.Options{NumThreads: 8, Body: parVM})
 	mustRun(parMach, "init", "kernel")
 
 	same := true

@@ -19,7 +19,7 @@ type Report struct {
 	Golden *driver.Outcome // golden evaluation of the reference IR
 
 	// Divergences holds the pipeline's findings plus any "interp"-class
-	// finding where the production interpreter itself departed from the
+	// finding where the reference tree-walker itself departed from the
 	// golden evaluator on the *unoptimized* module — the ground-truth
 	// check that catches semantics bugs shared by the interpreter and
 	// the optimizer (which one-sided differential runs cannot see).
@@ -35,9 +35,10 @@ func (r *Report) Skipped() bool { return r.Result != nil && r.Result.FuelExhaust
 // Check runs the full oracle on one source program: the driver's
 // round trip (frontend → optimize → parallelize → decompile →
 // re-frontend, executing at every trust boundary) and the golden
-// cross-check of the production interpreter against the independent
-// evaluator. err is reserved for infrastructure failures — the input
-// source not compiling, or internal pipeline errors.
+// cross-check of the round trip's tree-walked reference run against
+// the independent evaluator. err is reserved for infrastructure
+// failures — the input source not compiling, or internal pipeline
+// errors.
 func Check(s *driver.Session, name, src string, opts driver.RoundTripOptions) (*Report, error) {
 	res, err := s.RoundTrip(name, src, opts)
 	if err != nil {
@@ -73,10 +74,10 @@ func Check(s *driver.Session, name, src string, opts driver.RoundTripOptions) (*
 }
 
 // ModuleDiverges reports whether m is self-inconsistent: the golden
-// evaluator disagrees with the production interpreter at 1 thread, the
+// evaluator disagrees with the reference tree-walker at 1 thread, the
 // bytecode VM departs from the tree-walker on the same module, or the
-// module's N-thread run departs from its own 1-thread run. This is
-// the reducer's predicate of choice — comparing a mutated candidate
+// module's N-thread tree-walked run departs from its own 1-thread run.
+// This is the reducer's predicate of choice — comparing a mutated candidate
 // against the *original* program's reference outcome would flag every
 // behaviour-changing shrink as "failing", whereas self-consistency only
 // holds the candidate to agreeing with itself and with ground truth.
@@ -86,8 +87,9 @@ func ModuleDiverges(m *ir.Module, entries []string, threads int) bool {
 	for _, g := range m.Globals {
 		globals = append(globals, g.Nam)
 	}
+	tree, _ := driver.EngineFor("tree")
 	prod1, _ := driver.RunForOutcome(m, entries, globals,
-		interp.Options{NumThreads: 1, Fuel: fuel})
+		interp.Options{NumThreads: 1, Fuel: fuel, Body: tree})
 	if prod1.Trapped && prod1.TrapKind == interp.TrapFuel {
 		return false // non-terminating mutant, not a reproducer
 	}
@@ -103,7 +105,7 @@ func ModuleDiverges(m *ir.Module, entries []string, threads int) bool {
 	}
 	if threads > 1 {
 		prodN, _ := driver.RunForOutcome(m, entries, globals,
-			interp.Options{NumThreads: threads, Fuel: fuel})
+			interp.Options{NumThreads: threads, Fuel: fuel, Body: tree})
 		if len(prod1.Diff(prodN)) > 0 {
 			return true
 		}

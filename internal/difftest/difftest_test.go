@@ -10,7 +10,7 @@ import (
 	"repro/internal/ir"
 )
 
-// The golden evaluator and the production interpreter must agree on
+// The golden evaluator and the reference tree-walker must agree on
 // every generated program's sequential behaviour: output, trap
 // category, and the bit pattern of every global. Any disagreement here
 // is a semantics bug in one of them, which would poison the oracle.
@@ -26,7 +26,8 @@ func TestGoldenMatchesInterpOnGeneratedSeeds(t *testing.T) {
 		for _, g := range m.Globals {
 			globals = append(globals, g.Nam)
 		}
-		got, _ := driver.RunForOutcome(m, p.Entries, globals, interp.Options{NumThreads: 1, Fuel: 16_000_000})
+		tree, _ := driver.EngineFor("tree")
+		got, _ := driver.RunForOutcome(m, p.Entries, globals, interp.Options{NumThreads: 1, Fuel: 16_000_000, Body: tree})
 		want := GoldenRun(m, p.Entries, globals, 16_000_000)
 		if diffs := want.Diff(got); len(diffs) > 0 {
 			t.Errorf("seed %d: interpreter departs from golden evaluator:\n  %s\nsource:\n%s",
@@ -171,7 +172,8 @@ func TestGoldenTrapKinds(t *testing.T) {
 		if !out.Trapped || out.TrapKind != tc.kind {
 			t.Errorf("%s: golden outcome %+v, want trap kind %s", tc.name, out, tc.kind)
 		}
-		got, _ := driver.RunForOutcome(m, []string{"main"}, nil, interp.Options{NumThreads: 1})
+		tree, _ := driver.EngineFor("tree")
+		got, _ := driver.RunForOutcome(m, []string{"main"}, nil, interp.Options{NumThreads: 1, Body: tree})
 		if diffs := out.Diff(got); len(diffs) > 0 {
 			t.Errorf("%s: interpreter disagrees with golden: %v", tc.name, diffs)
 		}

@@ -11,7 +11,7 @@ import (
 // generator seed: generate a C program, round-trip it through the
 // pipeline (optimize → parallelize → decompile → re-frontend),
 // execute every stage at 1 and 8 threads, and cross-check the
-// production interpreter against the golden evaluator. Any divergence
+// reference tree-walker against the golden evaluator. Any divergence
 // crashes the fuzzer with the seed as the reproducer; `cmd/difftest
 // -seed N -reduce` then shrinks it.
 func FuzzRoundTripExec(f *testing.F) {

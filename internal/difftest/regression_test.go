@@ -103,8 +103,12 @@ func requireSameTrap(t *testing.T, s *driver.Session, r *Repro) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	walker, err := driver.EngineFor("tree")
+	if err != nil {
+		t.Fatal(err)
+	}
 	golden := GoldenRun(m, r.Meta.Entries, nil, fuel)
-	tree, _ := driver.RunForOutcome(m, r.Meta.Entries, nil, interp.Options{NumThreads: 1, Fuel: fuel})
+	tree, _ := driver.RunForOutcome(m, r.Meta.Entries, nil, interp.Options{NumThreads: 1, Fuel: fuel, Body: walker})
 	bvm, _ := driver.RunForOutcome(m, r.Meta.Entries, nil, interp.Options{NumThreads: 1, Fuel: fuel, Body: byt})
 	for _, o := range []struct {
 		name string

@@ -26,21 +26,26 @@ type ExecOptions struct {
 	// CheckRaces enables the dynamic DOALL conflict checker and the
 	// static-verdict cross-check.
 	CheckRaces bool
-	// Engine selects the body engine: "" or "tree" for the reference
-	// tree-walker, "bytecode" for the lowered register VM. Both produce
-	// bitwise-identical observable behaviour; bytecode is faster.
+	// Engine selects the body engine by name (see EngineFor): "" or
+	// "bytecode" for the lowered register VM, "tree" for the reference
+	// tree-walker. Both produce bitwise-identical observable behaviour;
+	// bytecode is faster.
 	Engine string
 }
 
-// EngineFor maps an engine name to a body engine for interp.Options.
-// "" and "tree" return nil (the machine's default tree-walker);
-// "bytecode" returns a fresh register-VM engine.
+// EngineFor maps an engine name to a fresh body engine for
+// interp.Options. This is where the default is decided: "" and
+// "bytecode" return the register VM, the engine of the production
+// path; "tree" returns the reference tree-walker, which the oracles
+// (RoundTrip's reference runs, the engine-parity tests, the runtime
+// profile's engine comparison) name explicitly so the VM is never
+// checked against itself.
 func EngineFor(name string) (interp.BodyEngine, error) {
 	switch name {
-	case "", "tree":
-		return nil, nil
-	case "bytecode":
+	case "", "bytecode":
 		return vm.New(), nil
+	case "tree":
+		return interp.NewTreeEngine(), nil
 	}
 	return nil, fmt.Errorf("unknown engine %q (want tree or bytecode)", name)
 }

@@ -40,6 +40,9 @@ type Outcome struct {
 	// the recompiled module — a recompilability bug).
 	Err     string
 	Globals map[string]uint64
+	// Engine names the body engine that produced the outcome (empty for
+	// the golden evaluator). Recorded for audit, never compared.
+	Engine string
 }
 
 // Diff reports the observable differences of got against the reference
@@ -104,7 +107,7 @@ func RunForOutcome(m *ir.Module, entries, globals []string, mopts interp.Options
 // callers can also read its profile.
 func runForOutcome(m *ir.Module, entries, globals []string, mopts interp.Options) (*Outcome, *interp.Machine) {
 	mach := interp.NewMachine(m, mopts)
-	out := &Outcome{Globals: map[string]uint64{}}
+	out := &Outcome{Globals: map[string]uint64{}, Engine: mach.EngineName()}
 	for _, e := range entries {
 		if _, err := mach.Run(e); err != nil {
 			if kind, ok := interp.TrapKindOf(err); ok {
@@ -172,6 +175,7 @@ type RoundTripResult struct {
 
 	ParallelizedLoops int // loops the parallelizer outlined
 
+	// Every outcome but Byt1/BytN comes from the reference tree-walker.
 	Ref  *Outcome // reference: unoptimized IR, 1 thread
 	Opt1 *Outcome // optimized+parallelized IR, 1 thread
 	OptN *Outcome // optimized+parallelized IR, N threads
@@ -241,7 +245,14 @@ func (s *Session) roundTrip(name, src string, opts RoundTripOptions, jb *jobBuil
 		globals = append(globals, g.Nam)
 	}
 
-	res.Ref, _ = RunForOutcome(ref, entries, globals, interp.Options{NumThreads: 1, Fuel: fuel})
+	// Every run but the bytecode boundary is an oracle run and names the
+	// reference tree-walker, so the oracle never compares the default
+	// engine with itself.
+	tree, err := EngineFor("tree")
+	if err != nil {
+		return nil, err
+	}
+	res.Ref, _ = RunForOutcome(ref, entries, globals, interp.Options{NumThreads: 1, Fuel: fuel, Body: tree})
 	if res.Ref.Trapped && res.Ref.TrapKind == interp.TrapFuel {
 		res.FuelExhausted = true
 		return res, nil
@@ -265,13 +276,13 @@ func (s *Session) roundTrip(name, src string, opts RoundTripOptions, jb *jobBuil
 	}
 	res.OptIR = opt.Print()
 
-	res.Opt1, _ = RunForOutcome(opt, entries, globals, interp.Options{NumThreads: 1, Fuel: fuel})
+	res.Opt1, _ = RunForOutcome(opt, entries, globals, interp.Options{NumThreads: 1, Fuel: fuel, Body: tree})
 	// The N-thread run also collects a parallel-region profile when the
 	// job is being flight-recorded, so /debug/jobs shows each round
 	// trip's runtime shape alongside its verdicts.
 	outN, machN := runForOutcome(opt, entries, globals, interp.Options{
 		NumThreads: threads, Fuel: fuel, CheckRaces: true,
-		Profile: jb.active(), Metrics: s.opts.Metrics,
+		Profile: jb.active(), Metrics: s.opts.Metrics, Body: tree,
 	})
 	races := machN.Races()
 	res.OptN = outN
@@ -323,8 +334,8 @@ func (s *Session) roundTrip(name, src string, opts RoundTripOptions, jb *jobBuil
 		diverge("recompile", []string{fmt.Sprintf("optimizing recompiled module: %v", err)})
 		return res, nil
 	}
-	res.Rec1, _ = RunForOutcome(rec, entries, globals, interp.Options{NumThreads: 1, Fuel: fuel})
-	res.RecN, _ = RunForOutcome(rec, entries, globals, interp.Options{NumThreads: threads, Fuel: fuel})
+	res.Rec1, _ = RunForOutcome(rec, entries, globals, interp.Options{NumThreads: 1, Fuel: fuel, Body: tree})
+	res.RecN, _ = RunForOutcome(rec, entries, globals, interp.Options{NumThreads: threads, Fuel: fuel, Body: tree})
 	diverge("roundtrip", res.Ref.Diff(res.Rec1))
 	diverge("roundtrip", res.Ref.Diff(res.RecN))
 	return res, nil

@@ -118,9 +118,11 @@ type kernelCost struct {
 }
 
 // timeKernels measures the benchmark's kernel functions on module m with
-// the given machine options: init functions run untimed, the kernel
-// sequence is measured, and the fastest of reps repetitions is kept.
-func timeKernels(b *polybench.Benchmark, m *ir.Module, opts interp.Options, reps int) (kernelCost, error) {
+// the given machine options on the named body engine (see engine): init
+// functions run untimed, the kernel sequence is measured, and the
+// fastest of reps repetitions is kept.
+func timeKernels(b *polybench.Benchmark, m *ir.Module, engineName string, opts interp.Options, reps int) (kernelCost, error) {
+	opts.Body = engine(engineName)
 	kernelSet := map[string]bool{}
 	for _, k := range b.KernelFuncs {
 		kernelSet[k] = true
@@ -151,6 +153,16 @@ func timeKernels(b *polybench.Benchmark, m *ir.Module, opts interp.Options, reps
 		best.SimSteps = span // deterministic: identical across reps
 	}
 	return best, nil
+}
+
+// engine returns a fresh body engine by name (see driver.EngineFor):
+// "" is the default, the bytecode VM; "tree" the reference walker.
+func engine(name string) interp.BodyEngine {
+	body, err := driver.EngineFor(name)
+	if err != nil {
+		panic(err) // callers pass only the fixed names "", "tree" and "bytecode"
+	}
+	return body
 }
 
 // geomean returns the geometric mean of xs (which must be positive).

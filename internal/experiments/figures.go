@@ -36,7 +36,7 @@ func Fig6(cfg Config) ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		seqT, err := timeKernels(b, seqM, interp.Options{NumThreads: 1}, cfg.reps())
+		seqT, err := timeKernels(b, seqM, "", interp.Options{NumThreads: 1}, cfg.reps())
 		if err != nil {
 			return nil, err
 		}
@@ -44,7 +44,7 @@ func Fig6(cfg Config) ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		pollyT, err := timeKernels(b, parIR, interp.Options{NumThreads: cfg.threads()}, cfg.reps())
+		pollyT, err := timeKernels(b, parIR, "", interp.Options{NumThreads: cfg.threads()}, cfg.reps())
 		if err != nil {
 			return nil, err
 		}
@@ -56,11 +56,11 @@ func Fig6(cfg Config) ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		clangT, err := timeKernels(b, rec, interp.Options{NumThreads: cfg.threads()}, cfg.reps())
+		clangT, err := timeKernels(b, rec, "", interp.Options{NumThreads: cfg.threads()}, cfg.reps())
 		if err != nil {
 			return nil, err
 		}
-		gccT, err := timeKernels(b, rec, interp.Options{NumThreads: cfg.threads(), BalancedChunks: true}, cfg.reps())
+		gccT, err := timeKernels(b, rec, "", interp.Options{NumThreads: cfg.threads(), BalancedChunks: true}, cfg.reps())
 		if err != nil {
 			return nil, err
 		}
@@ -228,7 +228,7 @@ func Fig9(cfg Config) ([]Fig9Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		seqT, err := timeKernels(b, seqM, interp.Options{NumThreads: 1}, cfg.reps())
+		seqT, err := timeKernels(b, seqM, "", interp.Options{NumThreads: 1}, cfg.reps())
 		if err != nil {
 			return nil, err
 		}
@@ -236,7 +236,7 @@ func Fig9(cfg Config) ([]Fig9Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		manualT, err := timeKernels(b, manualM, interp.Options{NumThreads: cfg.threads()}, cfg.reps())
+		manualT, err := timeKernels(b, manualM, "", interp.Options{NumThreads: cfg.threads()}, cfg.reps())
 		if err != nil {
 			return nil, err
 		}
@@ -248,7 +248,7 @@ func Fig9(cfg Config) ([]Fig9Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		compilerT, err := timeKernels(b, rec, interp.Options{NumThreads: cfg.threads()}, cfg.reps())
+		compilerT, err := timeKernels(b, rec, "", interp.Options{NumThreads: cfg.threads()}, cfg.reps())
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +256,7 @@ func Fig9(cfg Config) ([]Fig9Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		collabT, err := timeKernels(b, collabM, interp.Options{NumThreads: cfg.threads()}, cfg.reps())
+		collabT, err := timeKernels(b, collabM, "", interp.Options{NumThreads: cfg.threads()}, cfg.reps())
 		if err != nil {
 			return nil, err
 		}

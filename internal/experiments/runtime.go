@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/driver"
 	"repro/internal/interp"
 	"repro/internal/polybench"
 )
@@ -51,25 +50,23 @@ func RuntimeProfile(cfg Config) ([]RuntimeRow, error) {
 	s := cfg.session()
 	threads := cfg.threads()
 	size := cfg.size()
-	byt, err := driver.EngineFor("bytecode")
-	if err != nil {
-		return nil, err
-	}
 	var rows []RuntimeRow
 	for _, b := range polybench.All() {
 		m, _, err := b.CompileParallelIRSized(s, size)
 		if err != nil {
 			return nil, err
 		}
-		seq, err := timeKernels(b, m, interp.Options{NumThreads: 1}, cfg.reps())
+		// seq and par stay on the reference tree-walker: seq is the
+		// baseline of the gated bytecode-vs-tree geomean.
+		seq, err := timeKernels(b, m, "tree", interp.Options{NumThreads: 1}, cfg.reps())
 		if err != nil {
 			return nil, err
 		}
-		par, err := timeKernels(b, m, interp.Options{NumThreads: threads}, cfg.reps())
+		par, err := timeKernels(b, m, "tree", interp.Options{NumThreads: threads}, cfg.reps())
 		if err != nil {
 			return nil, err
 		}
-		bcode, err := timeKernels(b, m, interp.Options{NumThreads: 1, Body: byt}, cfg.reps())
+		bcode, err := timeKernels(b, m, "bytecode", interp.Options{NumThreads: 1}, cfg.reps())
 		if err != nil {
 			return nil, err
 		}
@@ -84,7 +81,7 @@ func RuntimeProfile(cfg Config) ([]RuntimeRow, error) {
 			}
 		}
 		mach, err := b.RunWith(mMini, interp.Options{
-			NumThreads: threads, Profile: true, CheckRaces: true,
+			NumThreads: threads, Profile: true, CheckRaces: true, Body: engine(""),
 		})
 		if err != nil {
 			return nil, err
@@ -150,11 +147,14 @@ func ScheduleBalance(cfg Config) ([]ScheduleRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	seqCost, err := timeKernels(seqB, seqM, interp.Options{NumThreads: 1}, cfg.reps())
+	// Every run here stays on the reference tree-walker: the schedule
+	// rows are gated against a baseline measured on it, and the faster
+	// VM shifts which worker wins each dispatch chunk race.
+	seqCost, err := timeKernels(seqB, seqM, "tree", interp.Options{NumThreads: 1}, cfg.reps())
 	if err != nil {
 		return nil, err
 	}
-	ref, err := seqB.RunWith(seqM, interp.Options{NumThreads: 1})
+	ref, err := seqB.RunWith(seqM, interp.Options{NumThreads: 1, Body: engine("tree")})
 	if err != nil {
 		return nil, err
 	}
@@ -165,11 +165,11 @@ func ScheduleBalance(cfg Config) ([]ScheduleRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cost, err := timeKernels(b, m, interp.Options{NumThreads: threads}, cfg.reps())
+		cost, err := timeKernels(b, m, "tree", interp.Options{NumThreads: threads}, cfg.reps())
 		if err != nil {
 			return nil, err
 		}
-		mach, err := b.RunWith(m, interp.Options{NumThreads: threads, Profile: true})
+		mach, err := b.RunWith(m, interp.Options{NumThreads: threads, Profile: true, Body: engine("tree")})
 		if err != nil {
 			return nil, err
 		}

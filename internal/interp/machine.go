@@ -47,7 +47,7 @@ type Options struct {
 
 	// Body selects the function-body engine: nil means the tree-walking
 	// reference interpreter; internal/vm supplies the bytecode register
-	// VM. Everything outside the body — the __kmpc_* runtime, profiler,
+	// VM, the production default (driver.EngineFor("")). Everything outside the body — the __kmpc_* runtime, profiler,
 	// race checker, fuel, work-span clock — is shared between engines.
 	Body BodyEngine
 }
@@ -250,8 +250,10 @@ func (m *Machine) GlobalObj(g *ir.Global) *MemObject {
 	return m.globals[g]
 }
 
-// EngineName reports which body engine this machine executes with
-// ("tree" unless Options.Body overrides it).
+// EngineName reports which body engine this machine executes with:
+// Options.Body's name, or "tree" when Body is nil. interp cannot import
+// the VM, so a nil Body means the reference tree-walker; the production
+// default (the bytecode VM) comes from driver.EngineFor("").
 func (m *Machine) EngineName() string {
 	return m.body.Name()
 }

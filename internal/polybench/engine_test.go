@@ -26,15 +26,11 @@ func TestEngineDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, threads := range []int{1, 8} {
-				tree, err := b.RunWith(m, interp.Options{NumThreads: threads})
+				tree, err := b.RunWith(m, interp.Options{NumThreads: threads, Body: engine(t, "tree")})
 				if err != nil {
 					t.Fatalf("tree %d threads: %v", threads, err)
 				}
-				byt, err := driver.EngineFor("bytecode")
-				if err != nil {
-					t.Fatal(err)
-				}
-				bvm, err := b.RunWith(m, interp.Options{NumThreads: threads, Body: byt})
+				bvm, err := b.RunWith(m, interp.Options{NumThreads: threads, Body: engine(t, "bytecode")})
 				if err != nil {
 					t.Fatalf("bytecode %d threads: %v", threads, err)
 				}
@@ -65,10 +61,6 @@ func TestEngineDeterminism(t *testing.T) {
 // moves step counts between workers.
 func TestEngineDeterminismSchedules(t *testing.T) {
 	s := driver.New(driver.Options{})
-	byt, err := driver.EngineFor("bytecode")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, sched := range ImbalancedSchedules {
 		b := ImbalancedKernel(sched)
 		t.Run(b.Name, func(t *testing.T) {
@@ -76,16 +68,16 @@ func TestEngineDeterminismSchedules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := b.RunWith(m, interp.Options{NumThreads: 1})
+			ref, err := b.RunWith(m, interp.Options{NumThreads: 1, Body: engine(t, "tree")})
 			if err != nil {
 				t.Fatalf("tree 1 thread: %v", err)
 			}
 			for _, threads := range []int{1, 8} {
-				tree, err := b.RunWith(m, interp.Options{NumThreads: threads})
+				tree, err := b.RunWith(m, interp.Options{NumThreads: threads, Body: engine(t, "tree")})
 				if err != nil {
 					t.Fatalf("tree %d threads: %v", threads, err)
 				}
-				bvm, err := b.RunWith(m, interp.Options{NumThreads: threads, Body: byt})
+				bvm, err := b.RunWith(m, interp.Options{NumThreads: threads, Body: engine(t, "bytecode")})
 				if err != nil {
 					t.Fatalf("bytecode %d threads: %v", threads, err)
 				}

@@ -46,11 +46,11 @@ func TestGoldenDeterminismAcrossThreadCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		one, err := b.RunWith(m, interp.Options{NumThreads: 1})
+		one, err := b.RunWith(m, interp.Options{NumThreads: 1, Body: engine(t, "")})
 		if err != nil {
 			t.Fatalf("%s threads=1: %v", b.Name, err)
 		}
-		eight, err := b.RunWith(m, interp.Options{NumThreads: 8})
+		eight, err := b.RunWith(m, interp.Options{NumThreads: 8, Body: engine(t, "")})
 		if err != nil {
 			t.Fatalf("%s threads=8: %v", b.Name, err)
 		}
@@ -107,11 +107,11 @@ func TestGoldenDeterminismReduction(t *testing.T) {
 	if !usesAtomicCombine(m) {
 		t.Fatal("parallelized reduction does not call an atomic combiner; golden lost its IsAtomicCombine coverage")
 	}
-	one, err := red.RunWith(m, interp.Options{NumThreads: 1})
+	one, err := red.RunWith(m, interp.Options{NumThreads: 1, Body: engine(t, "")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := red.RunWith(m, interp.Options{NumThreads: 8, CheckRaces: true})
+	eight, err := red.RunWith(m, interp.Options{NumThreads: 8, CheckRaces: true, Body: engine(t, "")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestStaticDOALLsRunClean(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		mach, err := b.RunWith(m, interp.Options{NumThreads: 4, CheckRaces: true})
+		mach, err := b.RunWith(m, interp.Options{NumThreads: 4, CheckRaces: true, Body: engine(t, "")})
 		if err != nil {
 			t.Fatalf("%s race-checked run: %v", b.Name, err)
 		}
@@ -171,7 +171,7 @@ func TestProfiledSuiteRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach, err := b.RunWith(m, interp.Options{NumThreads: 4, Profile: true})
+	mach, err := b.RunWith(m, interp.Options{NumThreads: 4, Profile: true, Body: engine(t, "")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,18 @@ import (
 // benchmark variant once however many tests ask for it.
 var testSession = driver.New(driver.Options{})
 
+// engine returns a fresh body engine by name (see driver.EngineFor):
+// kernels run on the default engine, "", the bytecode VM; the
+// engine-parity tests name the reference "tree" explicitly.
+func engine(t testing.TB, name string) interp.BodyEngine {
+	t.Helper()
+	body, err := driver.EngineFor(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
 func TestRegistryComplete(t *testing.T) {
 	if len(All()) != 16 {
 		t.Fatalf("benchmarks = %d, want 16", len(All()))
@@ -78,7 +90,7 @@ func TestVariantsAgreeSequentially(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		ref, err := b.RunWith(seqM, interp.Options{NumThreads: 1})
+		ref, err := b.RunWith(seqM, interp.Options{NumThreads: 1, Body: engine(t, "")})
 		if err != nil {
 			t.Fatalf("%s seq: %v", b.Name, err)
 		}
@@ -92,7 +104,7 @@ func TestVariantsAgreeSequentially(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", b.Name, v.tag, err)
 			}
-			mach, err := b.RunWith(m, interp.Options{NumThreads: 1})
+			mach, err := b.RunWith(m, interp.Options{NumThreads: 1, Body: engine(t, "")})
 			if err != nil {
 				t.Fatalf("%s %s run: %v", b.Name, v.tag, err)
 			}
@@ -111,7 +123,7 @@ func TestParallelCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name, err)
 		}
-		ref, err := b.RunWith(seqM, interp.Options{NumThreads: 1})
+		ref, err := b.RunWith(seqM, interp.Options{NumThreads: 1, Body: engine(t, "")})
 		if err != nil {
 			t.Fatalf("%s seq: %v", b.Name, err)
 		}
@@ -125,7 +137,7 @@ func TestParallelCorrectness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mach, err := b.RunWith(m, interp.Options{NumThreads: 4})
+			mach, err := b.RunWith(m, interp.Options{NumThreads: 4, Body: engine(t, "")})
 			if err != nil {
 				t.Fatalf("%s %s parallel: %v", b.Name, v.tag, err)
 			}
@@ -150,11 +162,11 @@ func TestAutoParallelizePipeline(t *testing.T) {
 			totalParallelized += n
 		}
 		seqM, _ := CompileVariant(testSession, b.Seq, b.Name)
-		ref, err := b.RunWith(seqM, interp.Options{NumThreads: 1})
+		ref, err := b.RunWith(seqM, interp.Options{NumThreads: 1, Body: engine(t, "")})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mach, err := b.RunWith(m, interp.Options{NumThreads: 4})
+		mach, err := b.RunWith(m, interp.Options{NumThreads: 4, Body: engine(t, "")})
 		if err != nil {
 			t.Fatalf("%s parallelized run: %v", b.Name, err)
 		}
@@ -186,11 +198,11 @@ func TestSplendidDecompilesSuite(t *testing.T) {
 			t.Fatalf("%s: SPLENDID output does not recompile: %v\n%s", b.Name, err, res.C)
 		}
 		seqM, _ := CompileVariant(testSession, b.Seq, b.Name)
-		ref, err := b.RunWith(seqM, interp.Options{NumThreads: 1})
+		ref, err := b.RunWith(seqM, interp.Options{NumThreads: 1, Body: engine(t, "")})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mach, err := b.RunWith(rec, interp.Options{NumThreads: 4})
+		mach, err := b.RunWith(rec, interp.Options{NumThreads: 4, Body: engine(t, "")})
 		if err != nil {
 			t.Fatalf("%s: recompiled SPLENDID run: %v\n%s", b.Name, err, res.C)
 		}

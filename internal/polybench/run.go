@@ -46,7 +46,8 @@ func (b *Benchmark) CompileParallelIR(s *driver.Session) (*ir.Module, *parallel.
 // from opts and returns it for inspection. The observability harnesses
 // use opts to attach the parallel-region profiler (Profile), the dynamic
 // DOALL conflict checker (CheckRaces), or a telemetry context to a kernel
-// execution.
+// execution. A nil opts.Body runs the reference tree-walker; production
+// runs pass the default engine, driver.EngineFor("").
 func (b *Benchmark) RunWith(m *ir.Module, opts interp.Options) (*interp.Machine, error) {
 	mach := interp.NewMachine(m, opts)
 	for _, fn := range b.RunFuncs {

@@ -109,7 +109,7 @@ func analyzeRegion(fork *ir.Instr) *regionInfo {
 		}
 		plow, _ := ri.dynNext.Args[2].(*ir.Instr)
 		pup, _ := ri.dynNext.Args[3].(*ir.Instr)
-		if plow == nil || pup == nil {
+		if plow == nil || pup == nil || plow == pup {
 			return nil
 		}
 		nextPos := posOf(ri.dynNext)
@@ -131,9 +131,13 @@ func analyzeRegion(fork *ir.Instr) *regionInfo {
 	if ri.staticInit == nil || ri.staticFini == nil || len(ri.staticInit.Args) != 8 {
 		return nil
 	}
-	if sched, ok := ri.staticInit.Args[1].(*ir.ConstInt); ok {
-		ri.schedule = sched.V
+	// As for dispatch, the schedule kind must be a known static
+	// constant; anything else is an unsupported shape.
+	sched, ok := ri.staticInit.Args[1].(*ir.ConstInt)
+	if !ok || !omp.IsStaticSched(sched.V) {
+		return nil
 	}
+	ri.schedule = sched.V
 	if incr, ok := ri.staticInit.Args[6].(*ir.ConstInt); ok {
 		ri.step = incr.V
 	}
@@ -142,7 +146,7 @@ func analyzeRegion(fork *ir.Instr) *regionInfo {
 	}
 	plower, _ = ri.staticInit.Args[3].(*ir.Instr)
 	pupper, _ = ri.staticInit.Args[4].(*ir.Instr)
-	if plower == nil || pupper == nil || plower.Op != ir.OpAlloca || pupper.Op != ir.OpAlloca {
+	if plower == nil || pupper == nil || plower == pupper || plower.Op != ir.OpAlloca || pupper.Op != ir.OpAlloca {
 		return nil
 	}
 	// Original loop parameters: the last stores into the slots before
@@ -445,6 +449,33 @@ func sequentializeReduction(mt *ir.Function, combine *ir.Instr) error {
 	return nil
 }
 
+// forksItself reports whether mt reaches a fork of itself through the
+// microtasks it forks. Detransforming such a region would inline the
+// same fork call forever.
+func forksItself(mt *ir.Function) bool {
+	seen := map[*ir.Function]bool{mt: true}
+	work := []*ir.Function{mt}
+	found := false
+	for len(work) > 0 && !found {
+		f := work[len(work)-1]
+		work = work[:len(work)-1]
+		f.Instrs(func(in *ir.Instr) {
+			if !omp.IsForkCall(in) {
+				return
+			}
+			inner := omp.Microtask(in)
+			if inner == mt {
+				found = true
+			}
+			if inner != nil && !seen[inner] {
+				seen[inner] = true
+				work = append(work, inner)
+			}
+		})
+	}
+	return found
+}
+
 // DetransformParallelRegions applies the Parallel Semantic Analyzer and
 // Region Detransformer to every fork call in the module. It returns the
 // pragma map keyed by marker-named loop header blocks, ready for the
@@ -468,6 +499,9 @@ func DetransformParallelRegions(m *ir.Module) (map[*ir.Block]*decomp.PragmaInfo,
 			})
 			if fork == nil {
 				break
+			}
+			if mt := omp.Microtask(fork); mt != nil && forksItself(mt) {
+				return nil, fmt.Errorf("@%s: parallel region @%s forks itself", f.Nam, mt.Nam)
 			}
 			ri := analyzeRegion(fork)
 			if ri == nil {

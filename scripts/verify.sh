@@ -34,9 +34,10 @@ go run ./cmd/difftest -seed 1 -n 25
 echo "== differential fleet: sharded sweep, SIGKILL, resume (journal + summary)"
 sh scripts/fleet_smoke.sh 1 200 4
 
-echo "== fuzz smoke: IR text round trip + raw-byte C frontend + differential round trip"
+echo "== fuzz smoke: IR text round trip + raw-byte C frontend + raw-byte IR decompile + differential round trip"
 go test -run '^$' -fuzz='^FuzzIRParseRoundTrip$' -fuzztime=10s ./internal/ir/
 go test -run '^$' -fuzz='^FuzzCompileSource$' -fuzztime=10s ./internal/cfront/
+go test -run '^$' -fuzz='^FuzzParseIR$' -fuzztime=10s ./internal/splendid/
 go test -run '^$' -fuzz='^FuzzRoundTripExec$' -fuzztime=10s ./internal/difftest/
 
 echo "== runtime observability smoke (writes BENCH_runtime.json + BENCH_runtime_trace.json)"
@@ -54,7 +55,7 @@ echo "== perf-regression gate (fresh profile vs checked-in baseline)"
 go run ./cmd/benchgate -baseline "$basecopy" -candidate BENCH_runtime.json
 rm -f "$basecopy"
 
-echo "== engine parity smoke (irrun -engine bytecode vs tree)"
+echo "== engine parity smoke (irrun default bytecode engine vs -engine tree)"
 engdir=$(mktemp -d)
 cat > "$engdir/eng.c" <<'EOF'
 double A[256];
@@ -67,8 +68,8 @@ void kernel() {
 EOF
 go run ./cmd/ccomp -polly -o "$engdir/eng.ll" "$engdir/eng.c"
 go build -o "$engdir/irrun" ./cmd/irrun
-"$engdir/irrun" -entry kernel -threads 4 -steps "$engdir/eng.ll" > "$engdir/tree.out"
-"$engdir/irrun" -entry kernel -threads 4 -steps -engine bytecode "$engdir/eng.ll" > "$engdir/bytecode.out"
+"$engdir/irrun" -entry kernel -threads 4 -steps -engine tree "$engdir/eng.ll" > "$engdir/tree.out"
+"$engdir/irrun" -entry kernel -threads 4 -steps "$engdir/eng.ll" > "$engdir/bytecode.out"
 # Same return, same printed output, same work/span totals.
 cmp "$engdir/tree.out" "$engdir/bytecode.out"
 rm -rf "$engdir"
@@ -106,8 +107,8 @@ EOF
     fi
     curl -fsS "$base/metrics" > "$smokedir/metrics.txt"
     grep -q 'splendid_driver_jobs_completed_total{kind="execute"} 1' "$smokedir/metrics.txt"
-    grep -q 'splendid_interp_runs_total{engine="tree"} 1' "$smokedir/metrics.txt"
-    grep -q 'splendid_interp_regions_total{engine="tree"} 1' "$smokedir/metrics.txt"
+    grep -q 'splendid_interp_runs_total{engine="bytecode"} 1' "$smokedir/metrics.txt"
+    grep -q 'splendid_interp_regions_total{engine="bytecode"} 1' "$smokedir/metrics.txt"
     grep -q 'splendid_build_info{' "$smokedir/metrics.txt"
     curl -fsS "$base/healthz" | grep -q '"splendid-health/v1"'
     curl -fsS "$base/debug/jobs" > "$smokedir/jobs.json"
