@@ -16,11 +16,16 @@
 //     cache the frontend+O2(+parallelize) result per (name, source) pair
 //     as printed IR text, so the experiments harness forks only the
 //     SPLENDID config tail instead of recompiling the shared prefix for
-//     every ablation variant.
+//     every ablation variant;
+//   - a memo of decompilations: Decompile and DecompileVariant cache the
+//     emitted C (and SPLENDID's Stats) per (printed input IR, variant),
+//     so a programmer re-submitting a source the session has already
+//     served pays for one print of the module instead of the whole
+//     decompiler. RoundTrip bypasses it: its sources never repeat.
 //
 // Sessions are safe for concurrent use: independent modules may flow
 // through the stages from multiple goroutines (the analysis cache and
-// memo are internally locked, and the scheduler guarantees at most one
+// memos are internally locked, and the scheduler guarantees at most one
 // worker per function).
 package driver
 
@@ -85,8 +90,9 @@ type Session struct {
 	rec *FlightRecorder
 	ev  *evlog.Scope
 
-	mu   sync.Mutex
-	memo map[uint64]*memoEntry
+	mu         sync.Mutex
+	memo       map[uint64]*memoEntry
+	decompiled map[decompileKey]splendid.Result
 	// flushed tracks what FlushCounters already reported, so repeated
 	// flushes emit deltas rather than double-counting.
 	flushed analysis.Stats
@@ -102,7 +108,20 @@ type memoEntry struct {
 	parRes    *parallel.Result // result snapshot for the parallel prefix
 }
 
-// New returns a Session with its own analysis cache and prefix memo.
+// decompileKey identifies one memoized decompilation: the hash of the
+// printed input IR and the variant, either a SPLENDID Config or (when
+// baseline is set) a baseline decompiler's name. The printed text is
+// everything a decompiler sees — SPLENDID starts by reparsing it — and
+// output does not depend on the worker count, so equal keys mean
+// byte-identical C, up to the same 64-bit hash trade the prefix memo
+// and the analysis cache make.
+type decompileKey struct {
+	ir       uint64
+	cfg      splendid.Config
+	baseline string
+}
+
+// New returns a Session with its own analysis cache and memos.
 func New(opts Options) *Session {
 	jobs := opts.Jobs
 	if jobs <= 0 {
@@ -115,13 +134,14 @@ func New(opts Options) *Session {
 	am := analysis.NewManager()
 	am.SetMetrics(opts.Metrics)
 	return &Session{
-		opts: opts,
-		jobs: jobs,
-		am:   am,
-		met:  newSessionMetrics(opts.Metrics),
-		rec:  newFlightRecorder(history),
-		ev:   opts.Events.Scope("driver"),
-		memo: map[uint64]*memoEntry{},
+		opts:       opts,
+		jobs:       jobs,
+		am:         am,
+		met:        newSessionMetrics(opts.Metrics),
+		rec:        newFlightRecorder(history),
+		ev:         opts.Events.Scope("driver"),
+		memo:       map[uint64]*memoEntry{},
+		decompiled: map[decompileKey]splendid.Result{},
 	}
 }
 
@@ -248,52 +268,85 @@ func (s *Session) parallelize(m *ir.Module, jb *jobBuilder) (*parallel.Result, e
 // per-function detransformer and emission stages across the session's
 // workers. The input module is not modified. The decompiler works on a
 // clone with its own short-lived analysis cache, so concurrent Decompile
-// calls on one session never contend on entries.
+// calls on one session never contend on entries. Results are memoized
+// per (printed m, cfg); the returned Result is private to the caller.
 func (s *Session) Decompile(m *ir.Module, cfg splendid.Config) (*splendid.Result, error) {
-	jb := s.startJob("decompile", m.Name)
-	res, err := s.decompile(m, cfg, jb)
-	jb.finish(err)
-	return res, err
+	return s.memoDecompile(m, decompileKey{cfg: cfg})
 }
 
-func (s *Session) decompile(m *ir.Module, cfg splendid.Config, jb *jobBuilder) (*splendid.Result, error) {
+// decompile runs the decompiler key names on m, bypassing the memo.
+func (s *Session) decompile(m *ir.Module, key decompileKey, jb *jobBuilder) (*splendid.Result, error) {
 	sp := s.startStage(jb, "decompile")
 	defer sp.end()
+	if key.baseline != "" {
+		return &splendid.Result{C: cast.Print(baselines[key.baseline](m))}, nil
+	}
 	rc := s.runConfig()
 	rc.Analyses = analysis.NewManager()
-	return splendid.Decompile(m, cfg, rc)
+	return splendid.Decompile(m, key.cfg, rc)
 }
 
 // DecompileVariant decompiles m under a named variant: the SPLENDID
 // configurations ("full", "portable", "v1") or the baseline decompilers
 // ("cbackend", "rellic", "ghidra"). The C text is returned for every
-// variant; Stats only for SPLENDID ones (nil otherwise).
+// variant; Stats only for SPLENDID ones (nil otherwise). Every variant
+// goes through the session's decompile memo.
 func (s *Session) DecompileVariant(m *ir.Module, variant string) (string, *splendid.Stats, error) {
-	switch variant {
-	case "cbackend":
-		return cast.Print(cbackend.Decompile(m)), nil, nil
-	case "rellic":
-		return cast.Print(rellic.Decompile(m)), nil, nil
-	case "ghidra":
-		return cast.Print(ghidra.Decompile(m)), nil, nil
-	}
-	var cfg splendid.Config
+	key := decompileKey{}
 	switch variant {
 	case "full":
-		cfg = splendid.Full()
+		key.cfg = splendid.Full()
 	case "portable":
-		cfg = splendid.Portable()
+		key.cfg = splendid.Portable()
 	case "v1":
-		cfg = splendid.V1()
+		key.cfg = splendid.V1()
 	default:
-		return "", nil, fmt.Errorf("unknown variant %q", variant)
+		if baselines[variant] == nil {
+			return "", nil, fmt.Errorf("unknown variant %q", variant)
+		}
+		key.baseline = variant
 	}
-	res, err := s.Decompile(m, cfg)
+	res, err := s.memoDecompile(m, key)
 	if err != nil {
 		return "", nil, err
 	}
-	stats := res.Stats
-	return res.C, &stats, nil
+	if key.baseline != "" {
+		return res.C, nil, nil
+	}
+	return res.C, &res.Stats, nil
+}
+
+// memoDecompile runs one decompile job through the decompile memo,
+// filling in key.ir from m. A hit costs one print of m; a miss runs the
+// decompiler and caches its result. Errors are never cached.
+func (s *Session) memoDecompile(m *ir.Module, key decompileKey) (*splendid.Result, error) {
+	jb := s.startJob("decompile", m.Name)
+	key.ir = ir.HashBytes(m.Print())
+	jb.source(key.ir)
+	s.mu.Lock()
+	res, hit := s.decompiled[key]
+	s.mu.Unlock()
+	s.memoLookup(jb, "decompile", hit)
+	if hit {
+		jb.finish(nil)
+		return &res, nil
+	}
+	out, err := s.decompile(m, key, jb)
+	if err == nil {
+		s.mu.Lock()
+		s.decompiled[key] = *out
+		s.mu.Unlock()
+	}
+	jb.finish(err)
+	return out, err
+}
+
+// baselines are the comparison decompilers DecompileVariant accepts by
+// name.
+var baselines = map[string]func(*ir.Module) *cast.File{
+	"cbackend": cbackend.Decompile,
+	"rellic":   rellic.Decompile,
+	"ghidra":   ghidra.Decompile,
 }
 
 // memoKey derives the prefix-memo key for a (name, source) pair.
@@ -306,7 +359,7 @@ func memoKey(name, src string) uint64 {
 // text. The returned module is private to the caller.
 func (s *Session) OptimizedIR(name, src string) (*ir.Module, error) {
 	jb := s.startJob("compile", name)
-	jb.source(src)
+	jb.source(ir.HashBytes(src))
 	m, err := s.optimizedIR(name, src, jb)
 	jb.finish(err)
 	return m, err
@@ -348,7 +401,7 @@ func (s *Session) optimizedIR(name, src string, jb *jobBuilder) (*ir.Module, err
 // tail. The returned module and Result are private to the caller.
 func (s *Session) ParallelIR(name, src string) (*ir.Module, *parallel.Result, error) {
 	jb := s.startJob("compile", name)
-	jb.source(src)
+	jb.source(ir.HashBytes(src))
 	m, pres, err := s.parallelIR(name, src, jb)
 	jb.finish(err)
 	return m, pres, err
@@ -409,8 +462,9 @@ func (s *Session) count(name string, n int) {
 	s.opts.Telemetry.Count(name, n)
 }
 
-// memoLookup records one prefix-memo probe on the telemetry counters,
-// the metrics registry, and the job's flight record.
+// memoLookup records one memo probe (a pipeline prefix or a
+// decompilation) on the telemetry counters, the metrics registry, and
+// the job's flight record.
 func (s *Session) memoLookup(jb *jobBuilder, prefix string, hit bool) {
 	if hit {
 		s.count("driver.memo.hits", 1)

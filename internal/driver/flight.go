@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/evlog"
 	"repro/internal/interp"
-	"repro/internal/ir"
 	"repro/internal/metrics"
 )
 
@@ -33,8 +32,9 @@ type StageTiming struct {
 	WallNS int64  `json:"wall_ns"`
 }
 
-// CacheLookup is one prefix-memo probe: which prefix was consulted
-// ("optimized" or "parallel") and whether it hit.
+// CacheLookup is one memo probe: which memo was consulted ("optimized"
+// or "parallel" for the compiled prefixes, "decompile" for the emitted
+// C) and whether it hit.
 type CacheLookup struct {
 	Prefix string `json:"prefix"`
 	Hit    bool   `json:"hit"`
@@ -76,8 +76,10 @@ type JobRecord struct {
 	// another process's recorder (the fleet coordinator tags worker shard
 	// jobs "worker0", "worker1", ...); "" for jobs this session ran.
 	Process string `json:"process,omitempty"`
-	// SourceHash fingerprints the input source ("%016x" of ir.HashBytes)
-	// so repeated jobs over the same program correlate across restarts.
+	// SourceHash fingerprints the input ("%016x" of ir.HashBytes): the C
+	// source of compile and round-trip jobs, the printed IR of decompile
+	// jobs (their memo key), so repeated jobs over the same program
+	// correlate across restarts.
 	SourceHash  string `json:"source_hash,omitempty"`
 	StartUnixNS int64  `json:"start_unix_ns"`
 	WallNS      int64  `json:"wall_ns"`
@@ -214,11 +216,13 @@ func (s *Session) startJob(kind, name string) *jobBuilder {
 // whether collecting a profile for the record is worth the cost).
 func (jb *jobBuilder) active() bool { return jb != nil }
 
-func (jb *jobBuilder) source(src string) {
+// source stamps the job's input fingerprint: the hash of its C source,
+// or for a decompile job the memo key's hash of the printed IR.
+func (jb *jobBuilder) source(hash uint64) {
 	if jb == nil {
 		return
 	}
-	jb.rec.SourceHash = fmt.Sprintf("%016x", ir.HashBytes(src))
+	jb.rec.SourceHash = fmt.Sprintf("%016x", hash)
 }
 
 func (jb *jobBuilder) engine(name string) {
@@ -358,9 +362,9 @@ func newSessionMetrics(r *metrics.Registry) sessionMetrics {
 		failed:    map[string]*metrics.Counter{},
 		stage:     map[string]*metrics.Histogram{},
 		memoHits: r.Counter("splendid_driver_memo_hits_total",
-			"prefix-memo lookups served from cached IR text"),
+			"prefix- and decompile-memo lookups served from the cache"),
 		memoMisses: r.Counter("splendid_driver_memo_misses_total",
-			"prefix-memo lookups that compiled from scratch"),
+			"prefix- and decompile-memo lookups that ran the pipeline"),
 	}
 	for _, k := range jobKinds {
 		sm.started[k] = r.Counter("splendid_driver_jobs_started_total",

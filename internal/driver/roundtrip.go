@@ -211,7 +211,7 @@ func (r *RoundTripResult) Failed() bool { return len(r.Divergences) > 0 }
 // memoizing each would grow the cache without any reuse.
 func (s *Session) RoundTrip(name, src string, opts RoundTripOptions) (*RoundTripResult, error) {
 	jb := s.startJob("roundtrip", name)
-	jb.source(src)
+	jb.source(ir.HashBytes(src))
 	res, err := s.roundTrip(name, src, opts, jb)
 	if res != nil {
 		jb.parallelLoops(res.ParallelizedLoops)
@@ -317,7 +317,7 @@ func (s *Session) roundTrip(name, src string, opts RoundTripOptions, jb *jobBuil
 		diverge("races", []string{c})
 	}
 
-	dec, err := s.decompile(opt, splendid.Full(), jb)
+	dec, err := s.decompile(opt, decompileKey{cfg: splendid.Full()}, jb)
 	if err != nil {
 		diverge("decompile", []string{err.Error()})
 		return res, nil

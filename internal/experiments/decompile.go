@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/driver"
 	"repro/internal/ir"
@@ -34,8 +33,9 @@ type decompiled struct {
 
 // decompileAll runs every decompiler variant over one benchmark through
 // the session: the parallel and sequential input IR both come from the
-// session's prefix memo, so the expensive compilations happen once no
-// matter how many tables and figures consume the result.
+// session's prefix memo and every decompilation from its decompile memo,
+// so the expensive work happens once no matter how many tables and
+// figures consume the result.
 func decompileAll(s *driver.Session, b *polybench.Benchmark) (*decompiled, error) {
 	parIR, _, err := b.CompileParallelIR(s)
 	if err != nil {
@@ -74,40 +74,12 @@ func decompileAll(s *driver.Session, b *polybench.Benchmark) (*decompiled, error
 	return d, nil
 }
 
-// decompileCache memoizes decompileAll per (session, benchmark); the
-// mutex makes decompiledFor safe from concurrent experiment runners
-// sharing a session.
-var (
-	decompileCacheMu sync.Mutex
-	decompileCache   = map[*driver.Session]map[string]*decompiled{}
-)
-
-func decompiledFor(s *driver.Session, b *polybench.Benchmark) (*decompiled, error) {
-	decompileCacheMu.Lock()
-	if d := decompileCache[s][b.Name]; d != nil {
-		decompileCacheMu.Unlock()
-		return d, nil
-	}
-	decompileCacheMu.Unlock()
-	d, err := decompileAll(s, b)
-	if err != nil {
-		return nil, err
-	}
-	decompileCacheMu.Lock()
-	if decompileCache[s] == nil {
-		decompileCache[s] = map[string]*decompiled{}
-	}
-	decompileCache[s][b.Name] = d
-	decompileCacheMu.Unlock()
-	return d, nil
-}
-
 // Table4 computes the LoC rows from the decompilations.
 func Table4(cfg Config) ([]Table4Row, error) {
 	s := cfg.session()
 	var rows []Table4Row
 	for _, b := range polybench.All() {
-		d, err := decompiledFor(s, b)
+		d, err := decompileAll(s, b)
 		if err != nil {
 			return nil, err
 		}

@@ -48,7 +48,7 @@ func Fig6(cfg Config) ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, err := decompiledFor(s, b)
+		d, err := decompileAll(s, b)
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +108,7 @@ func Fig7(cfg Config) ([]Fig7Row, error) {
 	s := cfg.session()
 	var rows []Fig7Row
 	for _, b := range polybench.All() {
-		d, err := decompiledFor(s, b)
+		d, err := decompileAll(s, b)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +171,7 @@ func Fig8(cfg Config) ([]Fig8Row, error) {
 	s := cfg.session()
 	var rows []Fig8Row
 	for _, b := range polybench.All() {
-		d, err := decompiledFor(s, b)
+		d, err := decompileAll(s, b)
 		if err != nil {
 			return nil, err
 		}
@@ -240,7 +240,7 @@ func Fig9(cfg Config) ([]Fig9Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, err := decompiledFor(s, b)
+		d, err := decompileAll(s, b)
 		if err != nil {
 			return nil, err
 		}

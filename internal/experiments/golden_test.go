@@ -40,11 +40,11 @@ func checkGolden(t *testing.T, path string, got []byte) {
 // PolyBench kernel under every decompiler the figures compare, plus the
 // triangular imbalanced kernel under the full system for each schedule
 // kind (the schedule clause must come back out as it went in). Nothing
-// is executed; the text comes from the session's decompile cache.
+// is executed; the text comes from the session's decompile memo.
 func TestDecompiledGolden(t *testing.T) {
 	s := testCfg.session()
 	for _, b := range polybench.All() {
-		d, err := decompiledFor(s, b)
+		d, err := decompileAll(s, b)
 		if err != nil {
 			t.Fatal(err)
 		}

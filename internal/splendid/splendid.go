@@ -77,9 +77,9 @@ type Stats struct {
 	SourceNamedVars int
 }
 
-// Result is a completed decompilation.
+// Result is a completed decompilation. It holds plain values only, so a
+// copy shares nothing mutable with the original.
 type Result struct {
-	File  *cast.File
 	C     string
 	Stats Stats
 }
@@ -290,7 +290,6 @@ func Decompile(m *ir.Module, cfg Config, rc passes.RunConfig) (*Result, error) {
 		return nil, err
 	}
 	file.Funcs = append(file.Funcs, fds...)
-	res.File = file
 	res.C = cast.Print(file)
 	return res, nil
 }
